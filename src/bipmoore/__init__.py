@@ -39,7 +39,6 @@ from .graphs import (
     parse_adjacency,
     parse_edge_list,
     read_adjacency,
-    read_edge_list,
     regularity_check,
     write_adjacency,
 )

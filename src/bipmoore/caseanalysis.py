@@ -201,7 +201,6 @@ def _status(ok: bool) -> str:
 
 def nonexistence_case_audit(
     d: int = 7,
-    ratio_cap: int | None | str = "auto",
     node_budget: int | None = None,
     workers: int = 1,
 ) -> AuditReport:
@@ -211,14 +210,13 @@ def nonexistence_case_audit(
     non-existence; for other degrees only the generic arithmetic entries run
     and the mixed cases are out-of-scope, so the verdict stays inconclusive.
 
-    ``ratio_cap="auto"`` applies the sound contraction quotient cap ``d - 3``;
-    pass ``None`` to rerun the contraction entry with plain divisibility (a
-    diagnostic that fails at d=7, where {5, 6, 30} becomes feasible).
+    The contraction entry always uses the sound quotient cap ``d - 3`` and
+    reports it as ``ratioCap``. Plain divisibility is not sound here: at d=7
+    it admits {5, 6, 30} (see ``contraction_feasibility(ratio_cap=None)``).
     """
     if d < 4:
         raise ValueError("audit needs degree at least 4")
-    if ratio_cap == "auto":
-        ratio_cap = d - 3
+    ratio_cap = d - 3
     bound = moore_bound(d, 3)
     order = bound - 4
     half = order // 2

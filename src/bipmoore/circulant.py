@@ -126,13 +126,22 @@ def build_phi(m: int) -> BipartiteGraph:
     return build_phi_spec(PhiSpec(m))
 
 
+#: Two-step residues through the fixed shifts ``0, 1, -1`` alone.
+BASE_RESIDUES = (0, 1, -1, 2, -2)
+
+
+def offset_residues(a: int) -> tuple[int, ...]:
+    """The six two-step residues an offset ``a`` adds with the fixed shifts."""
+    return (a, -a, a + 1, -a - 1, a - 1, -a + 1)
+
+
 @dataclass(frozen=True)
 class ResidueCoverage:
     """The two-step residue multiset of a spec and its coverage verdict.
 
     ``counts[r]`` is the multiplicity with which residue ``r`` occurs in the
-    collection ``0, 1, -1, 2, -2, a_i, -a_i, a_i+1, -a_i-1, a_i-1, -a_i+1,
-    a_i-a_j (i != j)``, all reduced mod m.
+    collection ``BASE_RESIDUES``, ``offset_residues(a_i)`` for every offset
+    and ``a_i - a_j (i != j)``, all reduced mod m.
     """
 
     m: int
@@ -159,10 +168,10 @@ def two_step_residues(spec: PhiSpec) -> ResidueCoverage:
     """
     m = spec.m
     counts = [0] * m
-    for value in (0, 1, -1, 2, -2):
+    for value in BASE_RESIDUES:
         counts[value % m] += 1
     for a in spec.offsets:
-        for value in (a, -a, a + 1, -a - 1, a - 1, -a + 1):
+        for value in offset_residues(a):
             counts[value % m] += 1
     for a in spec.offsets:
         for b in spec.offsets:

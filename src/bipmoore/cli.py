@@ -201,7 +201,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         mode=mode,
         prefix=prefix,
         node_budget=args.budget,
-        spacing_prune=args.spacing_prune,
     )
     report = search_offsets(task, workers=args.workers)
     if args.json:
@@ -232,24 +231,7 @@ def cmd_max_m(args: argparse.Namespace) -> int:
     high = args.high if args.high is not None else max_m_upper_bound(args.d)
     result = max_m(args.d, low, high, node_budget=args.budget, workers=args.workers)
     if args.json:
-        _emit_json(
-            {
-                "d": args.d,
-                "from": low,
-                "to": high,
-                "bestM": result.best_m,
-                "witnesses": [format_spec(w) for w in result.witnesses],
-                "conclusive": result.conclusive,
-                "perM": [
-                    {
-                        "m": m,
-                        "solutions": [format_spec(s) for s in rep.solutions],
-                        "exhausted": rep.exhausted,
-                    }
-                    for m, rep in result.reports.items()
-                ],
-            }
-        )
+        _emit_json(result.to_json_dict())
     else:
         if result.best_m is not None:
             print(f"largest modulus in [{low}, {high}] with a witness: {result.best_m}")
@@ -319,14 +301,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    ratio_cap: int | None | str = "auto"
-    if args.uncapped_contraction:
-        ratio_cap = None
-    elif args.ratio_cap:
-        ratio_cap = args.d - 3
-    report = nonexistence_case_audit(
-        args.d, ratio_cap=ratio_cap, node_budget=args.budget, workers=args.workers
-    )
+    report = nonexistence_case_audit(args.d, node_budget=args.budget, workers=args.workers)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -440,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--budget", type=int, help="node budget, split across shards")
     p.add_argument("--prefix", help="comma-separated fixed leading offsets")
-    p.add_argument("--spacing-prune", action="store_true",
-                   help="restrict offsets to [4, m-4] (sound only at m = d*d-d-1)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--expect-none", action="store_true")
     p.add_argument("--expect-some", action="store_true")
@@ -472,10 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="defect-4 nonexistence case audit")
     p.add_argument("--d", type=_degree, default=7)
-    p.add_argument("--ratio-cap", action="store_true",
-                   help="apply the quotient cap d-3 to the contraction rule (the default)")
-    p.add_argument("--uncapped-contraction", action="store_true",
-                   help="diagnostic: rerun the contraction entry with plain divisibility")
     p.add_argument("--budget", type=int)
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--json", action="store_true")

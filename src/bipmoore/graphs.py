@@ -384,7 +384,3 @@ def parse_edge_list(text: str) -> BipartiteGraph:
     n_left = 1 + max(i for i, _ in edges)
     n_right = 1 + max(j for _, j in edges)
     return BipartiteGraph.from_edges(n_left, n_right, edges)
-
-
-def read_edge_list(path: str | Path) -> BipartiteGraph:
-    return parse_edge_list(Path(path).read_text(encoding="ascii"))

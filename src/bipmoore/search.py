@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import max_m_upper_bound
-from .circulant import PhiSpec, format_spec, two_step_residues
+from .circulant import BASE_RESIDUES, PhiSpec, format_spec, offset_residues
 
 MODES = ("find-all", "find-first", "count-only")
 
@@ -37,10 +37,7 @@ class SearchTask:
     """One enumeration job: degree, modulus, mode, optional prefix and budget.
 
     ``prefix`` pins the first offsets (useful for manual sharding); the
-    engine then enumerates the remaining positions. ``spacing_prune``
-    restricts candidates to ``[4, m-4]``; that restriction is only safe when
-    ``m == d*d - d - 1`` (where full coverage forces it) and must never
-    change the solution set there.
+    engine then enumerates the remaining positions.
     """
 
     d: int
@@ -48,7 +45,6 @@ class SearchTask:
     mode: str = "find-all"
     prefix: tuple[int, ...] = ()
     node_budget: int | None = None
-    spacing_prune: bool = False
 
     def __post_init__(self) -> None:
         cap = max_m_upper_bound(self.d)
@@ -80,7 +76,6 @@ class SearchCounters:
     nodes_visited: int = 0
     pruned_by_bound: int = 0
     pruned_by_symmetry: int = 0
-    pruned_by_spacing: int = 0
     solutions_found: int = 0
     budget_stops: int = 0
 
@@ -88,7 +83,6 @@ class SearchCounters:
         self.nodes_visited += other.nodes_visited
         self.pruned_by_bound += other.pruned_by_bound
         self.pruned_by_symmetry += other.pruned_by_symmetry
-        self.pruned_by_spacing += other.pruned_by_spacing
         self.solutions_found += other.solutions_found
         self.budget_stops += other.budget_stops
 
@@ -97,7 +91,6 @@ class SearchCounters:
             "nodesVisited": self.nodes_visited,
             "prunedByBound": self.pruned_by_bound,
             "prunedBySymmetry": self.pruned_by_symmetry,
-            "prunedBySpacing": self.pruned_by_spacing,
             "solutionsFound": self.solutions_found,
             "budgetStops": self.budget_stops,
         }
@@ -120,7 +113,6 @@ class SearchReport:
                 "mode": self.task.mode,
                 "prefix": list(self.task.prefix),
                 "nodeBudget": self.task.node_budget,
-                "spacingPrune": self.task.spacing_prune,
             },
             "solutions": [format_spec(s) for s in self.solutions],
             "counters": self.counters.to_dict(),
@@ -132,21 +124,19 @@ class _StopShard(Exception):
     """Internal unwind for budget exhaustion / find-first early stop."""
 
 
-def _unit_mask(m: int, a: int) -> int:
+def _residue_mask(m: int, values: tuple[int, ...]) -> int:
     mask = 0
-    for value in (a, -a, a + 1, -a - 1, a - 1, -a + 1):
+    for value in values:
         mask |= 1 << (value % m)
     return mask
 
 
 def _shard_state(task: SearchTask, shard_budget: int | None):
     m = task.m
-    base = 0
-    for value in (0, 1, -1, 2, -2):
-        base |= 1 << (value % m)
+    base = _residue_mask(m, BASE_RESIDUES)
     units = [0] * (m - 1)
     for a in range(2, m - 1):
-        units[a] = _unit_mask(m, a)
+        units[a] = _residue_mask(m, offset_residues(a))
     bound_add = {}
     n = task.d - 3
     for placed in range(n + 1):
@@ -155,15 +145,18 @@ def _shard_state(task: SearchTask, shard_budget: int | None):
     return m, n, base, units, bound_add, shard_budget
 
 
-def _run_shard(args: tuple[SearchTask, int, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
-    """Explore the subtree where the first free position takes ``shard_value``."""
+def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
+    """Explore the subtree where the first free position takes ``shard_value``.
+
+    ``shard_value`` is None when the prefix pins every offset: the prefix is
+    then the only candidate and no node is placed.
+    """
     task, shard_value, shard_budget = args
     m, n, base, units, bound_add, budget = _shard_state(task, shard_budget)
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     find_first = task.mode == "find-first"
     keep = task.mode != "count-only"
-    spacing = task.spacing_prune
     full_count = m
 
     prefix = list(task.prefix)
@@ -216,22 +209,22 @@ def _run_shard(args: tuple[SearchTask, int, int | None]) -> tuple[SearchCounters
             if v > sym_cap:
                 counters.pruned_by_symmetry += (m - 1) - v
                 break
-            if spacing and not 4 <= v <= m - 4:
-                counters.pruned_by_spacing += 1
-                continue
             place(v, chosen, covered)
 
     exhausted = True
     v = shard_value
     try:
-        if v > sym_cap:
+        if v is None:
+            if covered.bit_count() == full_count:
+                accept(prefix)
+        elif v > sym_cap:
             counters.pruned_by_symmetry += 1
-        elif spacing and not 4 <= v <= m - 4:
-            counters.pruned_by_spacing += 1
         else:
             place(v, list(prefix), covered)
     except _StopShard:
-        exhausted = False
+        # A find-first stop after the only candidate of a pinned prefix
+        # leaves nothing unvisited.
+        exhausted = v is None
     return counters, solutions, exhausted
 
 
@@ -251,28 +244,24 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
     exhausted = True
 
     if len(task.prefix) == n:
-        # Nothing to enumerate: evaluate the fully pinned tuple directly.
-        counters_, sols_, exh_ = _run_prefixed_leaf(task)
-        counters.add(counters_)
-        solutions.extend(sols_)
-        exhausted = exh_
+        shard_values: list[int | None] = [None]
     else:
         start = task.prefix[-1] + 1 if task.prefix else 2
         shard_values = list(range(start, task.m - 1))
-        if task.node_budget is None:
-            shard_budget = None
-        else:
-            shard_budget = -(-task.node_budget // max(1, len(shard_values)))
-        jobs = [(task, v, shard_budget) for v in shard_values]
-        if workers == 1 or len(jobs) <= 1:
-            results = map(_run_shard, jobs)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_shard, jobs))
-        for shard_counters, shard_solutions, shard_exhausted in results:
-            counters.add(shard_counters)
-            solutions.extend(shard_solutions)
-            exhausted = exhausted and shard_exhausted
+    if task.node_budget is None:
+        shard_budget = None
+    else:
+        shard_budget = -(-task.node_budget // max(1, len(shard_values)))
+    jobs = [(task, v, shard_budget) for v in shard_values]
+    if workers == 1 or len(jobs) <= 1:
+        results = map(_run_shard, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_shard, jobs))
+    for shard_counters, shard_solutions, shard_exhausted in results:
+        counters.add(shard_counters)
+        solutions.extend(shard_solutions)
+        exhausted = exhausted and shard_exhausted
 
     solutions.sort(key=lambda s: s.offsets)
     if task.mode == "find-first" and solutions:
@@ -286,21 +275,6 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
     )
 
 
-def _run_prefixed_leaf(task: SearchTask) -> tuple[SearchCounters, list[PhiSpec], bool]:
-    counters = SearchCounters()
-    solutions: list[PhiSpec] = []
-    spec = PhiSpec(task.m, task.prefix)
-    if two_step_residues(spec).full:
-        negated = tuple(sorted(task.m - a for a in spec.offsets))
-        if spec.offsets <= negated:
-            counters.solutions_found += 1
-            if task.mode != "count-only":
-                solutions.append(spec)
-        else:
-            counters.pruned_by_symmetry += 1
-    return counters, solutions, True
-
-
 @dataclass(frozen=True)
 class MaxMResult:
     d: int
@@ -312,6 +286,25 @@ class MaxMResult:
     #: Smallest modulus in the contiguous range below m_high proven solution-free.
     verified_down_to: int | None = None
     conclusive: bool = True
+
+    def to_json_dict(self) -> dict:
+        """Deterministic JSON payload; wall times deliberately excluded."""
+        return {
+            "d": self.d,
+            "from": self.m_low,
+            "to": self.m_high,
+            "bestM": self.best_m,
+            "witnesses": [format_spec(w) for w in self.witnesses],
+            "conclusive": self.conclusive,
+            "perM": [
+                {
+                    "m": m,
+                    "solutions": [format_spec(s) for s in rep.solutions],
+                    "exhausted": rep.exhausted,
+                }
+                for m, rep in self.reports.items()
+            ],
+        }
 
 
 def max_m(
@@ -333,41 +326,28 @@ def max_m(
         raise ValueError(f"need 5 <= m_low <= m_high <= {cap}")
     reports: dict[int, SearchReport] = {}
     verified_down_to: int | None = None
+    best_m: int | None = None
+    witnesses: tuple[PhiSpec, ...] = ()
+    conclusive = True
     effective_low = max(m_low, d)
     for m in range(m_high, effective_low - 1, -1):
         task = SearchTask(d=d, m=m, mode="find-first", node_budget=node_budget)
         report = search_offsets(task, workers=workers)
         reports[m] = report
         if report.solutions:
-            return MaxMResult(
-                d=d,
-                m_low=m_low,
-                m_high=m_high,
-                best_m=m,
-                witnesses=report.solutions,
-                reports=reports,
-                verified_down_to=verified_down_to,
-                conclusive=True,
-            )
+            best_m, witnesses = m, report.solutions
+            break
         if report.counters.budget_stops:
-            return MaxMResult(
-                d=d,
-                m_low=m_low,
-                m_high=m_high,
-                best_m=None,
-                witnesses=(),
-                reports=reports,
-                verified_down_to=verified_down_to,
-                conclusive=False,
-            )
+            conclusive = False
+            break
         verified_down_to = m
     return MaxMResult(
         d=d,
         m_low=m_low,
         m_high=m_high,
-        best_m=None,
-        witnesses=(),
+        best_m=best_m,
+        witnesses=witnesses,
         reports=reports,
         verified_down_to=verified_down_to,
-        conclusive=True,
+        conclusive=conclusive,
     )

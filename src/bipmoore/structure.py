@@ -254,8 +254,12 @@ class Decomposition:
 
 
 def _intersection_path_length(c1: FourCycle, c2: FourCycle) -> int:
-    """Longest path shared by two distinct neighboring 4-cycles: 0, 1 or 2."""
-    return len(c1.edges & c2.edges)
+    """Longest path shared by two distinct neighboring 4-cycles: 0, 1 or 2.
+
+    A 4-cycle's edge set is ``left x right``, so the shared edges are the
+    product of the shared left and the shared right vertices.
+    """
+    return len(set(c1.left) & set(c2.left)) * len(set(c1.right) & set(c2.right))
 
 
 def _subgraph_components(

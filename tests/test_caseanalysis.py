@@ -121,14 +121,6 @@ def test_audit_degree7_confirms():
     assert mixed["perSideRequired"] == [24, 24]
 
 
-def test_audit_degree7_uncapped_diagnostic():
-    report = nonexistence_case_audit(7, ratio_cap=None)
-    assert report.verdict == "inconclusive"
-    multi = next(e for e in report.entries if e.name == "gamma1_spanning_multi")
-    assert multi.status == "fail"
-    assert multi.values["feasibleExamples"] == [[5, 6, 30]]
-
-
 def test_audit_other_degree_inconclusive():
     report = nonexistence_case_audit(6)
     assert report.verdict == "inconclusive"

@@ -204,8 +204,6 @@ def test_audit_command(capsys):
     assert "86" in out and "82" in out and "80" in out
     code, out, _ = run(capsys, "audit", "--d", "7", "--json")
     assert json.loads(out)["verdict"] == "nonexistence-confirmed"
-    code, _, _ = run(capsys, "audit", "--d", "7", "--uncapped-contraction")
-    assert code == 1
     code, _, _ = run(capsys, "audit", "--d", "6")
     assert code == 1
 

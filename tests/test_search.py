@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from bipmoore.circulant import PhiSpec, diameter_at_most_3, format_spec
+from itertools import combinations
+
+from bipmoore.circulant import PhiSpec, diameter_at_most_3, format_spec, two_step_residues
 from bipmoore.search import SearchTask, max_m, search_offsets
 from oracles import naive_coverage_solutions
 
@@ -21,6 +23,34 @@ def test_degree7_modulus41_empty():
     assert report.solutions == ()
     assert report.exhausted
     assert report.counters.nodes_visited > 0
+
+
+@pytest.mark.parametrize(
+    "d, m, solutions, nodes, by_bound, by_symmetry",
+    [
+        (5, 19, 1, 43, 37, 28),
+        (6, 29, 0, 420, 374, 225),
+        (7, 41, 0, 3489, 3164, 1766),
+        (8, 55, 0, 29971, 27625, 14653),
+        (9, 71, 0, 269709, 251110, 131641),
+        (5, 17, 4, 43, 33, 28),
+        (6, 25, 14, 754, 641, 326),
+        (8, 45, 210, 297040, 260874, 134041),
+    ],
+)
+def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
+    """Exact work counts: the engine is deterministic, so any change in
+    pruning or enumeration order shows here."""
+    report = search_offsets(SearchTask(d=d, m=m))
+    c = report.counters
+    assert (c.solutions_found, c.nodes_visited, c.pruned_by_bound, c.pruned_by_symmetry) == (
+        solutions,
+        nodes,
+        by_bound,
+        by_symmetry,
+    )
+    assert len(report.solutions) == solutions
+    assert report.exhausted
 
 
 @pytest.mark.parametrize("m", range(5, 12))
@@ -103,12 +133,21 @@ def test_partial_prefix():
     assert [s.offsets for s in report.solutions] == [(5, 8)]
 
 
-def test_spacing_prune_cross_validation():
-    for d, m in ((7, 41), (4, 11), (5, 19), (6, 29)):
-        plain = search_offsets(SearchTask(d=d, m=m))
-        pruned = search_offsets(SearchTask(d=d, m=m, spacing_prune=True))
-        assert plain.solutions == pruned.solutions
-        assert plain.exhausted and pruned.exhausted
+@pytest.mark.parametrize("m", range(7, 20))
+def test_fully_pinned_prefix(m):
+    """A fully pinned pair is kept exactly when it covers and is canonical;
+    no node is placed, and a covering non-canonical pair is one symmetry
+    prune."""
+    for pair in combinations(range(2, m - 1), 2):
+        report = search_offsets(SearchTask(d=5, m=m, prefix=pair))
+        full = two_step_residues(PhiSpec(m, pair)).full
+        canonical = pair <= tuple(sorted(m - a for a in pair))
+        c = report.counters
+        assert [s.offsets for s in report.solutions] == ([pair] if full and canonical else [])
+        assert c.nodes_visited == 0
+        assert c.solutions_found == int(full and canonical)
+        assert c.pruned_by_symmetry == int(full and not canonical)
+        assert report.exhausted
 
 
 def test_task_validation():
