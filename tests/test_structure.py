@@ -275,6 +275,45 @@ def test_observation_divisibility_fails():
     assert closed.status == "fail"
 
 
+THETA_L01_R012 = [(b, m) for b in (0, 1) for m in (0, 1, 2)]
+
+
+def theta_and_phi5_ring() -> BipartiteGraph:
+    """A theta on L0,L1 / R0-R2, a circulant on 5 on L2-L6 / R3-R7 and the
+    branch-to-ring edge L0-R3, at the degree-4 defect-4 order."""
+    phi5 = build_phi(5)
+    edges = THETA_L01_R012 + [(2 + i, 3 + j) for i in range(5) for j in phi5.left_neighbors(i)]
+    edges.append((0, 3))
+    return BipartiteGraph.from_edges(11, 11, edges)
+
+
+def theta_and_square() -> BipartiteGraph:
+    """The same theta, a square on L2,L3 / R3,R4 and the edge L2-R0 from the
+    0-path union to a non-branch theta vertex, at the degree-4 defect-4 order."""
+    edges = THETA_L01_R012 + [(2, 3), (2, 4), (3, 3), (3, 4), (2, 0)]
+    return BipartiteGraph.from_edges(11, 11, edges)
+
+
+def test_observation_theta_joined_to_ring_fails():
+    g = theta_and_phi5_ring()
+    report = check_observations(g, classify_and_decompose(g), 4)
+    assert report.applicable
+    entries = {e.name: e for e in report.entries}
+    assert entries["no_edge_gamma2_gamma1"].status == "fail"
+    assert entries["no_edge_gamma2_gamma1"].witness == ["L0", "R3"]
+    assert entries["gamma2_gamma1_modularity"].status == "fail"
+    assert entries["gamma2_gamma1_modularity"].witness == {"mPrime": 5, "edge": ["L0", "R3"]}
+
+
+def test_observation_theta_joined_to_square_fails():
+    g = theta_and_square()
+    report = check_observations(g, classify_and_decompose(g), 4)
+    assert report.applicable
+    entry = next(e for e in report.entries if e.name == "no_edge_gamma2_gamma0")
+    assert entry.status == "fail"
+    assert entry.witness == ["L2", "R0"]
+
+
 def degree7_claim_with_small_gamma0() -> BipartiteGraph:
     """Order-82 shell claiming degree 7: two isolated squares (an 8-vertex
     0-path union, below the 24-vertex floor) plus a circulant on 5 touched
