@@ -249,9 +249,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     dec = classify_and_decompose(g)
     report = check_observations(g, dec, args.d)
     if args.json:
-        _emit_json({**dec.to_dict(), "observations": report.to_dict()["observations"],
-                    "degreeClaimed": report.degree_claimed, "defect": report.defect,
-                    "applicable": report.applicable})
+        _emit_json({**dec.to_dict(), **report.to_dict()})
     else:
         print(
             f"cycles: {len(dec.cycles.cycles)} total; labels 2-path={len(dec.s2)}"

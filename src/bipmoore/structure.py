@@ -4,15 +4,20 @@ Everything here targets diameter-3 analysis, where the short cycles are the
 4-cycles. A 4-cycle is found as a same-side vertex pair with at least two
 common neighbors; two 4-cycles are neighbors when they share a vertex, and
 the shared part is always a path of length 0, 1 or 2. Cycles are labeled by
-the longest path they share with any neighbor, the labeled unions split the
-graph into the component families checked by the structural observations,
-and an exact isomorphism test backs the certification of distinct graphs.
+the longest path they share with any neighbor, which local counts decide: a
+cycle shares a 2-path exactly when its left pair or its right pair has more
+than two common neighbors, and otherwise shares a 1-path exactly when one of
+its four edges lies on another 4-cycle. The labeled unions split the graph
+into the component families checked by the structural observations, and an
+exact isomorphism test backs the certification of distinct graphs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bounds import moore_bound
 from .graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
@@ -72,39 +77,49 @@ class FourCycle:
 
 @dataclass
 class ShortCycleSet:
-    """All (2D-2)-cycles of a graph, each recorded once, with per-vertex counts."""
+    """All 4-cycles of a graph, each recorded once, with per-vertex counts."""
 
-    cycle_length: int
     cycles: tuple[FourCycle, ...]
     per_vertex_count: dict[Vertex, int]
 
 
-def short_cycles(g: BipartiteGraph, diam: int = 3) -> ShortCycleSet:
-    """Enumerate the short cycles for diameter parameter ``diam``.
+def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
+    """Enumerate the 4-cycles, ordered by left pair, then right pair: a pair
+    of left vertices with ``c >= 2`` common neighbors yields ``C(c, 2)`` cycles."""
+    cycles = [
+        FourCycle(left, right)
+        for left in combinations(range(g.n_left), 2)
+        for right in combinations(bits(g.left_rows[left[0]] & g.left_rows[left[1]]), 2)
+    ]
+    counts = Counter(v for c in cycles for v in c.vertices)
+    return ShortCycleSet(cycles=tuple(cycles), per_vertex_count=dict(counts))
 
-    Only ``diam == 3`` (4-cycles) is implemented; a pair of same-side
-    vertices with ``c >= 2`` common neighbors yields ``C(c, 2)`` cycles.
-    """
-    if diam < 3:
-        raise ValueError("diameter parameter must be at least 3")
-    if diam != 3:
-        raise NotImplementedError("only the diameter-3 case (4-cycles) is implemented")
-    cycles: list[FourCycle] = []
-    for i1 in range(g.n_left):
-        row1 = g.left_rows[i1]
-        for i2 in range(i1 + 1, g.n_left):
-            common = row1 & g.left_rows[i2]
-            if common.bit_count() >= 2:
-                shared = list(bits(common))
-                for a in range(len(shared)):
-                    for b in range(a + 1, len(shared)):
-                        cycles.append(FourCycle((i1, i2), (shared[a], shared[b])))
-    cycles.sort(key=lambda c: (c.left, c.right))
-    counts: Counter[Vertex] = Counter()
-    for c in cycles:
-        for v in c.vertices:
-            counts[v] += 1
-    return ShortCycleSet(cycle_length=2 * diam - 2, cycles=tuple(cycles), per_vertex_count=dict(counts))
+
+def _components(groups: Iterable[Iterable[Vertex]]) -> list[frozenset[Vertex]]:
+    """Connected components of the vertices named in ``groups``, where each
+    group joins all of its members; ordered by least vertex."""
+    parent: dict[Vertex, Vertex] = {}
+
+    def root(v: Vertex) -> Vertex:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for first, *rest in groups:
+        r = root(first)
+        for v in rest:
+            parent[root(v)] = r
+    members: dict[Vertex, set[Vertex]] = {}
+    for v in parent:
+        members.setdefault(root(v), set()).add(v)
+    return sorted((frozenset(comp) for comp in members.values()), key=min)
+
+
+def _index(parts: Iterable[Iterable[Vertex]]) -> dict[Vertex, int]:
+    """Each vertex of the given parts mapped to the position of its part."""
+    return {v: idx for idx, part in enumerate(parts) for v in part}
 
 
 # ---------------------------------------------------------------------------
@@ -116,41 +131,16 @@ def short_cycles(g: BipartiteGraph, diam: int = 3) -> ShortCycleSet:
 class RepeatStructure:
     """The repeat relation induced by the short cycles.
 
-    ``pairs[k]`` holds the two repeat pairs of cycle ``k``; minimal closed
-    sets are the connected components of the relation, each lying inside a
-    single partite set.
+    Minimal closed sets are the connected components of the relation, each
+    lying inside a single partite set.
     """
 
-    pairs: tuple[tuple[tuple[Vertex, Vertex], tuple[Vertex, Vertex]], ...]
     minimal_closed_sets: tuple[frozenset[Vertex], ...]
 
 
 def repeat_structure(g: BipartiteGraph, cycles: ShortCycleSet) -> RepeatStructure:
-    adjacency: dict[Vertex, set[Vertex]] = {}
-    pairs = []
-    for c in cycles.cycles:
-        cycle_pairs = c.repeat_pairs()
-        pairs.append(cycle_pairs)
-        for a, b in cycle_pairs:
-            adjacency.setdefault(a, set()).add(b)
-            adjacency.setdefault(b, set()).add(a)
-    seen: set[Vertex] = set()
-    components: list[frozenset[Vertex]] = []
-    for v in sorted(adjacency):
-        if v in seen:
-            continue
-        stack, comp = [v], {v}
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        components.append(frozenset(comp))
-    components.sort(key=lambda comp: min(comp))
-    return RepeatStructure(pairs=tuple(pairs), minimal_closed_sets=tuple(components))
+    pairs = (pair for c in cycles.cycles for pair in c.repeat_pairs())
+    return RepeatStructure(minimal_closed_sets=tuple(_components(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +180,15 @@ class Gamma0Part:
 class Decomposition:
     """Labeled short-cycle structure of a graph.
 
-    Cycle labels: ``s2`` when some neighbor intersection is a 2-path, ``s1``
-    when the longest is a 1-path, ``s0`` otherwise. The gamma parts are the
-    connected components of the unions of equally-labeled cycles; ``residue``
-    holds the vertices on no short cycle. ``disjoint`` reports whether the
-    three vertex classes are pairwise disjoint (they are for genuine
-    defect-4 graphs; a mixed pattern is data, not an error).
+    Cycle labels: ``s2`` when some neighbor intersection is a 2-path, that
+    is when the cycle's left pair or right pair has more than two common
+    neighbors; otherwise ``s1`` when the longest is a 1-path, that is when
+    one of its four edges lies on another 4-cycle; ``s0`` otherwise. The
+    gamma parts are the connected components of the unions of
+    equally-labeled cycles; ``residue`` holds the vertices on no short
+    cycle. ``disjoint`` reports whether the three vertex classes are
+    pairwise disjoint (they are for genuine defect-4 graphs; a mixed pattern
+    is data, not an error).
     """
 
     cycles: ShortCycleSet
@@ -253,46 +246,20 @@ class Decomposition:
         }
 
 
-def _intersection_path_length(c1: FourCycle, c2: FourCycle) -> int:
-    """Longest path shared by two distinct neighboring 4-cycles: 0, 1 or 2.
-
-    A 4-cycle's edge set is ``left x right``, so the shared edges are the
-    product of the shared left and the shared right vertices.
-    """
-    return len(set(c1.left) & set(c2.left)) * len(set(c1.right) & set(c2.right))
-
-
 def _subgraph_components(
-    cycle_list: list[tuple[int, FourCycle]],
+    cycles: tuple[FourCycle, ...], indices: tuple[int, ...]
 ) -> list[tuple[frozenset[Vertex], frozenset[tuple[int, int]], tuple[int, ...]]]:
-    """Connected components of the union of the given cycles (as subgraphs)."""
-    vertex_to_cycles: dict[Vertex, list[int]] = {}
-    for pos, (_, cycle) in enumerate(cycle_list):
-        for v in cycle.vertices:
-            vertex_to_cycles.setdefault(v, []).append(pos)
-    seen_cycle = [False] * len(cycle_list)
-    components = []
-    for start in range(len(cycle_list)):
-        if seen_cycle[start]:
-            continue
-        stack = [start]
-        seen_cycle[start] = True
-        members: list[int] = []
-        while stack:
-            k = stack.pop()
-            members.append(k)
-            for v in cycle_list[k][1].vertices:
-                for other in vertex_to_cycles[v]:
-                    if not seen_cycle[other]:
-                        seen_cycle[other] = True
-                        stack.append(other)
-        members.sort()
-        vertices = frozenset(v for k in members for v in cycle_list[k][1].vertices)
-        edges = frozenset(e for k in members for e in cycle_list[k][1].edges)
-        indices = tuple(cycle_list[k][0] for k in members)
-        components.append((vertices, edges, indices))
-    components.sort(key=lambda comp: min(comp[0]))
-    return components
+    """Connected components of the union of the indexed cycles (as subgraphs):
+    vertices, edges and ascending cycle indices of each."""
+    parts = _components(cycles[k].vertices for k in indices)
+    part_of = _index(parts)
+    members: list[list[int]] = [[] for _ in parts]
+    for k in indices:
+        members[part_of[cycles[k].vertices[0]]].append(k)
+    return [
+        (part, frozenset(e for k in ks for e in cycles[k].edges), tuple(ks))
+        for part, ks in zip(parts, members)
+    ]
 
 
 def _recognize_theta(
@@ -375,68 +342,43 @@ def _recognize_phi(
     return True, m, tuple(xs), tuple(ys)
 
 
+
+
 def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
     """Label every 4-cycle, split the graph into the labeled unions, and
     recognize their components. Total on any bipartite input; components that
     fail recognition are reported unrecognized, never raised."""
-    cycle_set = short_cycles(g, 3)
+    cycle_set = short_cycles(g)
     cycles = cycle_set.cycles
-    n = len(cycles)
-    vertex_to_cycles: dict[Vertex, list[int]] = {}
-    for k, c in enumerate(cycles):
-        for v in c.vertices:
-            vertex_to_cycles.setdefault(v, []).append(k)
-    neighbor_pairs: set[tuple[int, int]] = set()
-    for ks in vertex_to_cycles.values():
-        for a in range(len(ks)):
-            for b in range(a + 1, len(ks)):
-                neighbor_pairs.add((ks[a], ks[b]))
-    best = [-1] * n  # -1: no neighbor
-    for k1, k2 in neighbor_pairs:
-        ell = _intersection_path_length(cycles[k1], cycles[k2])
-        if ell > best[k1]:
-            best[k1] = ell
-        if ell > best[k2]:
-            best[k2] = ell
-    labels = tuple("s2" if b == 2 else "s1" if b == 1 else "s0" for b in best)
-    s2 = tuple(k for k in range(n) if labels[k] == "s2")
-    s1 = tuple(k for k in range(n) if labels[k] == "s1")
-    s0 = tuple(k for k in range(n) if labels[k] == "s0")
+    cycles_on_edge = Counter(e for c in cycles for e in c.edges)
 
-    gamma2 = []
-    for vertices, edges, indices in _subgraph_components([(k, cycles[k]) for k in s2]):
-        ok, branch = _recognize_theta(vertices, edges, len(indices))
-        gamma2.append(
-            ThetaComponent(
-                vertices=vertices,
-                edges=edges,
-                cycle_indices=indices,
-                recognized=ok,
-                branch=branch,
-            )
-        )
-    gamma1 = []
-    for vertices, edges, indices in _subgraph_components([(k, cycles[k]) for k in s1]):
-        ok, m_prime, xs, ys = _recognize_phi(vertices, edges, [cycles[k] for k in indices])
-        gamma1.append(
-            PhiComponent(
-                vertices=vertices,
-                edges=edges,
-                cycle_indices=indices,
-                recognized=ok,
-                m_prime=m_prime,
-                x_order=xs,
-                y_order=ys,
-            )
-        )
-    gamma0 = [
-        Gamma0Part(vertices=vertices, edges=edges, cycle_indices=indices)
-        for vertices, edges, indices in _subgraph_components([(k, cycles[k]) for k in s0])
-    ]
+    def label(c: FourCycle) -> str:
+        # A third common neighbor of either pair closes a cycle sharing a
+        # 2-path with c; short of that, a cycle sharing an edge shares a 1-path.
+        (i1, i2), (j1, j2) = c.left, c.right
+        left_common = (g.left_rows[i1] & g.left_rows[i2]).bit_count()
+        right_common = (g.right_rows[j1] & g.right_rows[j2]).bit_count()
+        if max(left_common, right_common) > 2:
+            return "s2"
+        return "s1" if any(cycles_on_edge[e] > 1 for e in c.edges) else "s0"
 
-    v2 = frozenset(v for k in s2 for v in cycles[k].vertices)
-    v1 = frozenset(v for k in s1 for v in cycles[k].vertices)
-    v0 = frozenset(v for k in s0 for v in cycles[k].vertices)
+    labels = tuple(label(c) for c in cycles)
+    s2, s1, s0 = (
+        tuple(k for k, lab in enumerate(labels) if lab == want) for want in ("s2", "s1", "s0")
+    )
+    gamma2 = tuple(
+        ThetaComponent(vertices, edges, indices, *_recognize_theta(vertices, edges, len(indices)))
+        for vertices, edges, indices in _subgraph_components(cycles, s2)
+    )
+    gamma1 = tuple(
+        PhiComponent(
+            vertices, edges, indices, *_recognize_phi(vertices, edges, [cycles[k] for k in indices])
+        )
+        for vertices, edges, indices in _subgraph_components(cycles, s1)
+    )
+    gamma0 = tuple(Gamma0Part(*part) for part in _subgraph_components(cycles, s0))
+
+    v2, v1, v0 = (frozenset(v for k in ks for v in cycles[k].vertices) for ks in (s2, s1, s0))
     on_cycles = v2 | v1 | v0
     residue = frozenset(v for v in g.vertices() if v not in on_cycles)
     disjoint = not (v2 & v1 or v2 & v0 or v1 & v0)
@@ -449,9 +391,9 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
         v2=v2,
         v1=v1,
         v0=v0,
-        gamma2=tuple(gamma2),
-        gamma1=tuple(gamma1),
-        gamma0=tuple(gamma0),
+        gamma2=gamma2,
+        gamma1=gamma1,
+        gamma0=gamma0,
         residue=residue,
         disjoint=disjoint,
     )
@@ -494,10 +436,10 @@ class ObservationReport:
 
     def to_dict(self) -> dict:
         return {
+            "observations": [e.to_dict() for e in self.entries],
             "degreeClaimed": self.degree_claimed,
             "defect": self.defect,
             "applicable": self.applicable,
-            "observations": [e.to_dict() for e in self.entries],
         }
 
 
@@ -535,74 +477,87 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
         )
 
     edges = [(i, j) for i in range(g.n_left) for j in bits(g.left_rows[i])]
-    theta_comp: dict[Vertex, int] = {}
-    for idx, comp in enumerate(dec.gamma2):
-        for v in comp.vertices:
-            theta_comp[v] = idx
-    phi_comp: dict[Vertex, int] = {}
-    for idx, comp in enumerate(dec.gamma1):
-        for v in comp.vertices:
-            phi_comp[v] = idx
+    theta_comp = _index(comp.vertices for comp in dec.gamma2)
+    phi_comp = _index(comp.vertices for comp in dec.gamma1)
     gamma0_vertices = dec.gamma0_vertices
     branch_vertices = frozenset(v for comp in dec.gamma2 for v in comp.branch)
     nonbranch_vertices = frozenset(
         v for comp in dec.gamma2 for v in comp.vertices if v not in comp.branch
     )
     recognized_phi = [comp for comp in dec.gamma1 if comp.recognized]
+
+    def first_edge(rule: Callable[[Vertex, Vertex], object]) -> tuple[list[str] | None, object]:
+        """The first edge, in scan order, with ends ``a, b`` (left end first)
+        for which ``rule(a, b)`` is truthy, named, with the rule's value."""
+        for i, j in edges:
+            u, v = (LEFT, i), (RIGHT, j)
+            for a, b in ((u, v), (v, u)):
+                hit = rule(a, b)
+                if hit:
+                    return _edge_name(i, j), hit
+        return None, None
+
+    def joined(comp_of: dict[Vertex, int]) -> list[tuple[tuple[int, int], list[str]]]:
+        """Ascending pairs of distinct parts joined by an edge, each with its
+        first joining edge in scan order."""
+        example: dict[tuple[int, int], list[str]] = {}
+        for i, j in edges:
+            cu, cv = comp_of.get((LEFT, i)), comp_of.get((RIGHT, j))
+            if cu is not None and cv is not None and cu != cv:
+                example.setdefault((min(cu, cv), max(cu, cv)), _edge_name(i, j))
+        return sorted(example.items())
+
+    def ring_modularity(near: Container[Vertex], q: int, k_max: int) -> dict | None:
+        """An edge from ``near`` to a recognized ring whose order m' is not
+        q*k with 2 <= k <= k_max, with that m'."""
+
+        def bad_order(a: Vertex, b: Vertex) -> int | None:
+            if a not in near or b not in phi_comp:
+                return None
+            comp = dec.gamma1[phi_comp[b]]
+            mp = comp.m_prime
+            return mp if comp.recognized and (mp % q != 0 or not 2 <= mp // q <= k_max) else None
+
+        edge, mp = first_edge(bad_order)
+        return {"mPrime": mp, "edge": edge} if edge else None
+
     entries: list[ObservationResult] = []
 
-    def classify_edge(i: int, j: int) -> tuple[Vertex, Vertex]:
-        return (LEFT, i), (RIGHT, j)
+    def skip(name: str, note: str) -> None:
+        entries.append(ObservationResult(name, "not-applicable", note=note))
 
+    def verdict(name: str, witness: object) -> None:
+        entries.append(ObservationResult(name, "fail" if witness else "pass", witness=witness))
+
+    both = "needs both unions nonempty"
     # no_edge_gamma2_gamma2: branch vertex to non-branch vertex of another component
     if len(dec.gamma2) < 2:
-        entries.append(ObservationResult("no_edge_gamma2_gamma2", "not-applicable", note="fewer than two 2-path components"))
+        skip("no_edge_gamma2_gamma2", "fewer than two 2-path components")
     else:
-        witness = None
-        for i, j in edges:
-            u, v = classify_edge(i, j)
-            for a, b in ((u, v), (v, u)):
-                if a in branch_vertices and b in nonbranch_vertices and theta_comp[a] != theta_comp[b]:
-                    witness = _edge_name(i, j)
-                    break
-            if witness:
-                break
-        entries.append(ObservationResult("no_edge_gamma2_gamma2", "fail" if witness else "pass", witness=witness))
+        edge, _ = first_edge(
+            lambda a, b: a in branch_vertices and b in nonbranch_vertices
+            and theta_comp[a] != theta_comp[b]
+        )
+        verdict("no_edge_gamma2_gamma2", edge)
 
     # no_edge_gamma2_gamma1: branch vertex to any 1-path-union vertex
     if not dec.gamma2 or not dec.gamma1:
-        entries.append(ObservationResult("no_edge_gamma2_gamma1", "not-applicable", note="needs both unions nonempty"))
+        skip("no_edge_gamma2_gamma1", both)
     else:
-        witness = None
-        for i, j in edges:
-            u, v = classify_edge(i, j)
-            for a, b in ((u, v), (v, u)):
-                if a in branch_vertices and b in phi_comp:
-                    witness = _edge_name(i, j)
-                    break
-            if witness:
-                break
-        entries.append(ObservationResult("no_edge_gamma2_gamma1", "fail" if witness else "pass", witness=witness))
+        edge, _ = first_edge(lambda a, b: a in branch_vertices and b in phi_comp)
+        verdict("no_edge_gamma2_gamma1", edge)
 
     # no_edge_gamma2_gamma0: non-branch vertex to a 0-path-union vertex
     if not dec.gamma2 or not gamma0_vertices:
-        entries.append(ObservationResult("no_edge_gamma2_gamma0", "not-applicable", note="needs both unions nonempty"))
+        skip("no_edge_gamma2_gamma0", both)
     else:
-        witness = None
-        for i, j in edges:
-            u, v = classify_edge(i, j)
-            for a, b in ((u, v), (v, u)):
-                if a in nonbranch_vertices and b in gamma0_vertices:
-                    witness = _edge_name(i, j)
-                    break
-            if witness:
-                break
-        entries.append(ObservationResult("no_edge_gamma2_gamma0", "fail" if witness else "pass", witness=witness))
+        edge, _ = first_edge(lambda a, b: a in nonbranch_vertices and b in gamma0_vertices)
+        verdict("no_edge_gamma2_gamma0", edge)
 
     # gamma1_shift_invariance: edges inside a recognized component are closed
     # under adding 1 to both circulant subscripts
     if not recognized_phi:
-        entries.append(ObservationResult("gamma1_shift_invariance", "not-applicable", note="no recognized circulant component"))
+        skip("gamma1_shift_invariance", "no recognized circulant component")
     else:
         witness = None
         for comp in recognized_phi:
@@ -627,121 +582,54 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
                     "expected": mp,
                 }
                 break
-        entries.append(ObservationResult("gamma1_shift_invariance", "fail" if witness else "pass", witness=witness))
+        verdict("gamma1_shift_invariance", witness)
 
     # gamma1_gamma1_divisibility: joined components have orders m and k*m, k <= d-3
     if len(recognized_phi) < 2:
-        entries.append(ObservationResult("gamma1_gamma1_divisibility", "not-applicable", note="fewer than two recognized circulant components"))
+        skip("gamma1_gamma1_divisibility", "fewer than two recognized circulant components")
     else:
         witness = None
-        comp_of = {}
-        for idx, comp in enumerate(dec.gamma1):
-            if comp.recognized:
-                for v in comp.vertices:
-                    comp_of[v] = idx
-        joined: set[tuple[int, int]] = set()
-        example: dict[tuple[int, int], tuple[int, int]] = {}
-        for i, j in edges:
-            u, v = (LEFT, i), (RIGHT, j)
-            cu, cv = comp_of.get(u), comp_of.get(v)
-            if cu is not None and cv is not None and cu != cv:
-                key = (min(cu, cv), max(cu, cv))
-                joined.add(key)
-                example.setdefault(key, (i, j))
-        for cu, cv in sorted(joined):
+        rings = _index(comp.vertices if comp.recognized else () for comp in dec.gamma1)
+        for (cu, cv), edge in joined(rings):
             small, big = sorted((dec.gamma1[cu].m_prime, dec.gamma1[cv].m_prime))
             if big % small != 0 or not 1 <= big // small <= d - 3:
-                witness = {"mSmall": small, "mBig": big, "edge": _edge_name(*example[(cu, cv)])}
+                witness = {"mSmall": small, "mBig": big, "edge": edge}
                 break
-        entries.append(ObservationResult("gamma1_gamma1_divisibility", "fail" if witness else "pass", witness=witness))
+        verdict("gamma1_gamma1_divisibility", witness)
 
     # gamma0_size: |gamma0| = 8k with k >= 3 (degree-7 analysis only)
     if d != 7 or not gamma0_vertices:
-        entries.append(ObservationResult("gamma0_size", "not-applicable", note="degree-7 rule" if d != 7 else "0-path union empty"))
+        skip("gamma0_size", "degree-7 rule" if d != 7 else "0-path union empty")
     else:
         size = len(gamma0_vertices)
-        ok = size % 8 == 0 and size // 8 >= 3
-        entries.append(
-            ObservationResult(
-                "gamma0_size", "pass" if ok else "fail", witness=None if ok else {"size": size}
-            )
-        )
+        verdict("gamma0_size", None if size % 8 == 0 and size // 8 >= 3 else {"size": size})
 
     # gamma2_gamma1_modularity: m' = 3k with 2 <= k <= d-2 when joined to a theta
     if not dec.gamma2 or not recognized_phi:
-        entries.append(ObservationResult("gamma2_gamma1_modularity", "not-applicable", note="needs both unions nonempty"))
+        skip("gamma2_gamma1_modularity", both)
     else:
-        witness = None
-        for i, j in edges:
-            u, v = (LEFT, i), (RIGHT, j)
-            for a, b in ((u, v), (v, u)):
-                if a in theta_comp and b in phi_comp:
-                    comp = dec.gamma1[phi_comp[b]]
-                    if not comp.recognized:
-                        continue
-                    mp = comp.m_prime
-                    if mp % 3 != 0 or not 2 <= mp // 3 <= d - 2:
-                        witness = {"mPrime": mp, "edge": _edge_name(i, j)}
-                        break
-            if witness:
-                break
-        entries.append(ObservationResult("gamma2_gamma1_modularity", "fail" if witness else "pass", witness=witness))
+        verdict("gamma2_gamma1_modularity", ring_modularity(theta_comp, 3, d - 2))
 
     # gamma0_gamma1_modularity: m' = 4k with 2 <= k <= d-4 when joined to gamma0
     if not gamma0_vertices or not recognized_phi:
-        entries.append(ObservationResult("gamma0_gamma1_modularity", "not-applicable", note="needs both unions nonempty"))
+        skip("gamma0_gamma1_modularity", both)
     else:
-        witness = None
-        for i, j in edges:
-            u, v = (LEFT, i), (RIGHT, j)
-            for a, b in ((u, v), (v, u)):
-                if a in gamma0_vertices and b in phi_comp:
-                    comp = dec.gamma1[phi_comp[b]]
-                    if not comp.recognized:
-                        continue
-                    mp = comp.m_prime
-                    if mp % 4 != 0 or not 2 <= mp // 4 <= d - 4:
-                        witness = {"mPrime": mp, "edge": _edge_name(i, j)}
-                        break
-            if witness:
-                break
-        entries.append(ObservationResult("gamma0_gamma1_modularity", "fail" if witness else "pass", witness=witness))
+        verdict("gamma0_gamma1_modularity", ring_modularity(gamma0_vertices, 4, d - 4))
 
     # closed_set_divisibility: joined minimal closed repeat sets have dividing
     # sizes, except the branch/non-branch pair of one theta
-    repeats = repeat_structure(g, dec.cycles)
-    sets = repeats.minimal_closed_sets
+    sets = repeat_structure(g, dec.cycles).minimal_closed_sets
     if len(sets) < 2:
-        entries.append(ObservationResult("closed_set_divisibility", "not-applicable", note="fewer than two minimal closed sets"))
+        skip("closed_set_divisibility", "fewer than two minimal closed sets")
     else:
-        set_of: dict[Vertex, int] = {}
-        for idx, s in enumerate(sets):
-            for v in s:
-                set_of[v] = idx
-        joined_sets: set[tuple[int, int]] = set()
-        example2: dict[tuple[int, int], tuple[int, int]] = {}
-        for i, j in edges:
-            u, v = (LEFT, i), (RIGHT, j)
-            su, sv = set_of.get(u), set_of.get(v)
-            if su is not None and sv is not None and su != sv:
-                key = (min(su, sv), max(su, sv))
-                joined_sets.add(key)
-                example2.setdefault(key, (i, j))
-        theta_vertex_sets = [comp.vertices for comp in dec.gamma2 if comp.recognized]
         witness = None
-        for su, sv in sorted(joined_sets):
+        theta_vertex_sets = [comp.vertices for comp in dec.gamma2 if comp.recognized]
+        for (su, sv), edge in joined(_index(sets)):
             a, b = len(sets[su]), len(sets[sv])
-            if a % b == 0 or b % a == 0:
-                continue
-            union = sets[su] | sets[sv]
-            if any(union == tv for tv in theta_vertex_sets):
-                continue
-            witness = {
-                "sizes": sorted((a, b)),
-                "edge": _edge_name(*example2[(su, sv)]),
-            }
-            break
-        entries.append(ObservationResult("closed_set_divisibility", "fail" if witness else "pass", witness=witness))
+            if a % b != 0 and b % a != 0 and sets[su] | sets[sv] not in theta_vertex_sets:
+                witness = {"sizes": sorted((a, b)), "edge": edge}
+                break
+        verdict("closed_set_divisibility", witness)
 
     return ObservationReport(
         degree_claimed=d, defect=4, applicable=True, entries=tuple(entries)

@@ -85,6 +85,61 @@ def four_cycles_oracle(g: BipartiteGraph) -> set[tuple[tuple[int, int], tuple[in
     return out
 
 
+def pairwise_labels_oracle(g: BipartiteGraph) -> dict[tuple[tuple[int, int], tuple[int, int]], str]:
+    """4-cycle labels by the pairwise rule, keyed like ``four_cycles_oracle``.
+
+    A cycle's label is the longest path it shares with any other cycle
+    through one of its vertices: ``|L & L'| * |R & R'|`` for left pairs L, L'
+    and right pairs R, R', maximized over those cycles (``s0`` for none).
+    """
+    cycles = [
+        (left, right)
+        for left in combinations(range(g.n_left), 2)
+        for right in combinations(
+            sorted(set(g.left_neighbors(left[0])) & set(g.left_neighbors(left[1]))), 2
+        )
+    ]
+    through: dict[Vertex, list[int]] = {}
+    for k, (left, right) in enumerate(cycles):
+        for v in [(LEFT, i) for i in left] + [(RIGHT, j) for j in right]:
+            through.setdefault(v, []).append(k)
+    labels = {}
+    for k, (left, right) in enumerate(cycles):
+        others = {o for i in left for o in through[(LEFT, i)]}
+        others |= {o for j in right for o in through[(RIGHT, j)]}
+        others.discard(k)
+        longest = max(
+            (len(set(left) & set(cycles[o][0])) * len(set(right) & set(cycles[o][1])) for o in others),
+            default=0,
+        )
+        labels[(left, right)] = ("s0", "s1", "s2")[longest]
+    return labels
+
+
+def components_oracle(groups) -> set[frozenset]:
+    """Connected components by breadth-first search, where each group of
+    items joins all of its members."""
+    adj: dict = {}
+    for group in groups:
+        for a in group:
+            adj.setdefault(a, set()).update(group)
+    seen: set = set()
+    out = set()
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = {start}, deque([start])
+        while queue:
+            for b in adj[queue.popleft()]:
+                if b not in seen:
+                    seen.add(b)
+                    comp.add(b)
+                    queue.append(b)
+        out.add(frozenset(comp))
+    return out
+
+
 def naive_coverage_solutions(d: int, m: int) -> set[tuple[int, ...]]:
     """Canonical offset tuples whose graphs have BFS diameter at most 3.
 

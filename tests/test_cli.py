@@ -151,6 +151,10 @@ def test_analyze(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "--in", str(path), "--d", "4", "--json")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == [
+        "schemaVersion", "cycles", "s2", "s1", "s0", "v2", "v1", "v0", "gamma2", "gamma1",
+        "gamma0", "residue", "disjoint", "observations", "degreeClaimed", "defect", "applicable",
+    ]
     assert payload["gamma1"][0]["recognized"] is True
     assert payload["gamma1"][0]["phiM"] == 11
     names = {e["name"]: e["status"] for e in payload["observations"]}

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from bipmoore.circulant import PhiSpec, build_phi, build_phi_spec, build_theta, parse_spec
-from bipmoore.graphs import LEFT, BipartiteGraph
+from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph
 from bipmoore.structure import (
     BudgetError,
     check_observations,
@@ -18,7 +19,12 @@ from bipmoore.structure import (
     short_cycles,
     verify_isomorphism,
 )
-from oracles import four_cycles_oracle, random_bipartite
+from oracles import (
+    components_oracle,
+    four_cycles_oracle,
+    pairwise_labels_oracle,
+    random_bipartite,
+)
 
 
 def hexagon() -> BipartiteGraph:
@@ -89,14 +95,6 @@ def test_short_cycles_matches_oracle():
         assert got == four_cycles_oracle(g)
 
 
-def test_short_cycles_parameter_guard():
-    g = build_phi(5)
-    with pytest.raises(ValueError):
-        short_cycles(g, 2)
-    with pytest.raises(NotImplementedError):
-        short_cycles(g, 4)
-
-
 # ---------------------------------------------------------------------------
 # repeats
 # ---------------------------------------------------------------------------
@@ -145,6 +143,27 @@ def test_minimal_closed_sets_one_partite_side():
         rs = repeat_structure(g, short_cycles(g))
         for s in rs.minimal_closed_sets:
             assert len({side for side, _ in s}) == 1
+
+
+def repeat_pairs(cycle: tuple[tuple[int, int], tuple[int, int]]) -> tuple[list, list]:
+    left, right = cycle
+    return [(LEFT, i) for i in left], [(RIGHT, j) for j in right]
+
+
+def test_components_match_oracle():
+    """Minimal closed sets and the three labeled unions' components against
+    breadth-first components of the oracle's cycles."""
+    rng = random.Random(3131)
+    for _ in range(40):
+        g = random_bipartite(rng, rng.randint(3, 10), rng.randint(3, 10), rng.choice((0.3, 0.5)))
+        pairs = [pair for c in four_cycles_oracle(g) for pair in repeat_pairs(c)]
+        closed = repeat_structure(g, short_cycles(g)).minimal_closed_sets
+        assert set(closed) == components_oracle(pairs)
+        dec = classify_and_decompose(g)
+        labels = pairwise_labels_oracle(g)
+        for parts, want in ((dec.gamma2, "s2"), (dec.gamma1, "s1"), (dec.gamma0, "s0")):
+            groups = [sum(repeat_pairs(c), []) for c, label in labels.items() if label == want]
+            assert {part.vertices for part in parts} == components_oracle(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +217,32 @@ def test_theta3_union_classified_s2():
     dec = classify_and_decompose(g)
     assert len(dec.s2) == 3
     assert dec.gamma2[0].recognized
+
+
+def cycle_labels(g: BipartiteGraph) -> dict:
+    dec = classify_and_decompose(g)
+    return dict(zip(((c.left, c.right) for c in dec.cycles.cycles), dec.labels))
+
+
+def test_labels_match_pairwise_oracle():
+    rng = random.Random(4404)
+    graphs = [
+        random_bipartite(rng, rng.randint(2, 10), rng.randint(2, 10), rng.choice((0.3, 0.5, 0.7)))
+        for _ in range(200)
+    ]
+    graphs += [
+        build_theta(2),
+        BipartiteGraph.from_neighbor_lists([[0, 1, 2]] * 3, 3),
+        build_phi_spec(parse_spec("phi 19: 5,8")),
+        build_phi_spec(parse_spec("phi 95: 4,16,27,38,52,62,79,81")),
+    ]
+    seen: Counter[str] = Counter()
+    for g in graphs:
+        labels = cycle_labels(g)
+        assert labels == pairwise_labels_oracle(g)
+        seen.update(labels.values())
+    assert min(seen[label] for label in ("s0", "s1", "s2")) > 0
+    assert Counter(labels.values()) == {"s2": 1330, "s1": 475}  # the degree-11 graph
 
 
 def test_unrecognized_phi_component():
@@ -262,6 +307,21 @@ def test_observation_shift_invariance_fails():
     assert entry.status == "fail"
     assert entry.witness["edgesWithOffset"] == 1
     assert entry.witness["expected"] == 8
+
+
+def test_observation_dividing_rings_pass():
+    """Circulants on 5 and 10 joined by one edge, at the degree-5 defect-4
+    order: the ring orders and the joined closed sets (sizes 5 and 10) divide."""
+    g5, g10 = build_phi(5), build_phi(10)
+    edges = [(i, j) for i in range(5) for j in g5.left_neighbors(i)]
+    edges += [(5 + i, 5 + j) for i in range(10) for j in g10.left_neighbors(i)]
+    edges.append((0, 5))
+    g = BipartiteGraph.from_edges(19, 19, edges)
+    report = check_observations(g, classify_and_decompose(g), 5)
+    assert report.applicable
+    entries = {e.name: e.status for e in report.entries}
+    assert entries["gamma1_gamma1_divisibility"] == "pass"
+    assert entries["closed_set_divisibility"] == "pass"
 
 
 def test_observation_divisibility_fails():
