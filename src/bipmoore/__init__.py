@@ -56,7 +56,6 @@ from .structure import (
     check_observations,
     classify_and_decompose,
     find_isomorphism,
-    is_isomorphic,
     repeat_structure,
     short_cycles,
     verify_isomorphism,

@@ -187,21 +187,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    mode = "find-all"
-    if args.first:
-        mode = "find-first"
-    elif args.count:
-        mode = "count-only"
-    prefix = ()
-    if args.prefix:
-        prefix = tuple(int(tok) for tok in args.prefix.split(","))
-    task = SearchTask(
-        d=args.d,
-        m=args.m,
-        mode=mode,
-        prefix=prefix,
-        node_budget=args.budget,
-    )
+    mode = "find-first" if args.first else "find-all"
+    prefix = tuple(int(tok) for tok in args.prefix.split(",")) if args.prefix else ()
+    task = SearchTask(d=args.d, m=args.m, mode=mode, prefix=prefix, node_budget=args.budget)
     report = search_offsets(task, workers=args.workers)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -408,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--all", action="store_true", help="find all solutions (default)")
-    mode.add_argument("--first", action="store_true", help="stop each shard at its first solution")
-    mode.add_argument("--count", action="store_true", help="count solutions only")
+    mode.add_argument("--first", action="store_true", help="stop at the first solution in shard order")
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--budget", type=int, help="node budget, split across shards")
     p.add_argument("--prefix", help="comma-separated fixed leading offsets")
@@ -422,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_degree, required=True)
     p.add_argument("--from", dest="low", type=int)
     p.add_argument("--to", dest="high", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help="node budget per modulus, split across shards")
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_max_m)

@@ -98,9 +98,6 @@ class BipartiteGraph:
     def left_neighbors(self, i: int) -> list[int]:
         return list(bits(self.left_rows[i]))
 
-    def right_neighbors(self, j: int) -> list[int]:
-        return list(bits(self.right_rows[j]))
-
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.left_rows[i] >> j & 1)
 

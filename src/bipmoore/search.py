@@ -12,24 +12,24 @@ The search walks ascending offset tuples ``a_1 < ... < a_{d-3}`` over
   larger-than-negation tuple are cut as soon as the first offset fixes the
   comparison.
 
-Sharding is deterministic by the first free offset position; shard results
-merge by summing counters and sorting solutions, so reports are identical
-for any worker count. ``find-first`` stops each shard at its own first
-solution but still visits every shard; node budgets are divided evenly
-across shards. Both choices keep reports byte-identical across worker
-counts.
+Sharding is by the value of the first free offset position. Shards are
+read in ascending order and each walks its subtree lexicographically, so
+the merged solution list is sorted as it is built. ``find-first`` stops the
+shard that finds a solution and reads no shard after it: the report holds
+the smallest canonical solution and the work of the shards up to it. Node
+budgets are divided evenly across shards. Reports are byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import max_m_upper_bound
 from .circulant import BASE_RESIDUES, PhiSpec, format_spec, offset_residues
 
-MODES = ("find-all", "find-first", "count-only")
+MODES = ("find-all", "find-first")
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,10 @@ class SearchReport:
     task: SearchTask
     solutions: tuple[PhiSpec, ...]
     counters: SearchCounters
-    elapsed: float
     exhausted: bool
 
     def to_json_dict(self) -> dict:
-        """Deterministic JSON payload; wall time deliberately excluded."""
+        """Deterministic JSON payload."""
         return {
             "task": {
                 "d": self.task.d,
@@ -131,40 +130,29 @@ def _residue_mask(m: int, values: tuple[int, ...]) -> int:
     return mask
 
 
-def _shard_state(task: SearchTask, shard_budget: int | None):
-    m = task.m
-    base = _residue_mask(m, BASE_RESIDUES)
-    units = [0] * (m - 1)
-    for a in range(2, m - 1):
-        units[a] = _residue_mask(m, offset_residues(a))
-    bound_add = {}
-    n = task.d - 3
-    for placed in range(n + 1):
-        r = n - placed
-        bound_add[placed] = r * (6 + 2 * placed) + r * (r - 1)
-    return m, n, base, units, bound_add, shard_budget
-
-
 def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
     """Explore the subtree where the first free position takes ``shard_value``.
 
     ``shard_value`` is None when the prefix pins every offset: the prefix is
     then the only candidate and no node is placed.
     """
-    task, shard_value, shard_budget = args
-    m, n, base, units, bound_add, budget = _shard_state(task, shard_budget)
+    task, shard_value, budget = args
+    m, n = task.m, task.d - 3
+    units = [0] * (m - 1)
+    for a in range(2, m - 1):
+        units[a] = _residue_mask(m, offset_residues(a))
+    # bound_add[k]: most residues the n - k offsets still to place can add.
+    bound_add = [(n - k) * (6 + 2 * k) + (n - k) * (n - k - 1) for k in range(n + 1)]
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     find_first = task.mode == "find-first"
-    keep = task.mode != "count-only"
-    full_count = m
 
     prefix = list(task.prefix)
     a1 = prefix[0] if prefix else shard_value
     sym_cap = m - a1
 
     # Coverage contributed by the prefix itself (not counted as nodes).
-    covered = base
+    covered = _residue_mask(m, BASE_RESIDUES)
     for idx, a in enumerate(prefix):
         covered |= units[a]
         for b in prefix[:idx]:
@@ -176,8 +164,7 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
         negated = tuple(sorted(m - a for a in offsets))
         if offsets <= negated:
             counters.solutions_found += 1
-            if keep:
-                solutions.append(PhiSpec(m, offsets))
+            solutions.append(PhiSpec(m, offsets))
             if find_first:
                 raise _StopShard
         else:
@@ -195,7 +182,7 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
             new |= 1 << ((b - v) % m)
         chosen.append(v)
         k = len(chosen)
-        if new.bit_count() + bound_add[k] < full_count:
+        if new.bit_count() + bound_add[k] < m:
             counters.pruned_by_bound += 1
         elif k == n:
             accept(chosen)
@@ -215,7 +202,7 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     v = shard_value
     try:
         if v is None:
-            if covered.bit_count() == full_count:
+            if covered.bit_count() == m:
                 accept(prefix)
         elif v > sym_cap:
             counters.pruned_by_symmetry += 1
@@ -233,17 +220,12 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
 
     Returns the canonical, sorted, duplicate-free solution list together
     with work counters. ``exhausted`` is True only when the task's whole
-    candidate space was visited.
+    candidate space was visited. A pool started for ``workers > 1`` is shut
+    down before the call returns.
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    t0 = time.perf_counter()
-    n = task.d - 3
-    counters = SearchCounters()
-    solutions: list[PhiSpec] = []
-    exhausted = True
-
-    if len(task.prefix) == n:
+    if len(task.prefix) == task.d - 3:
         shard_values: list[int | None] = [None]
     else:
         start = task.prefix[-1] + 1 if task.prefix else 2
@@ -254,25 +236,27 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
         shard_budget = -(-task.node_budget // max(1, len(shard_values)))
     jobs = [(task, v, shard_budget) for v in shard_values]
     if workers == 1 or len(jobs) <= 1:
-        results = map(_run_shard, jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_shard, jobs))
+        return _merge(task, map(_run_shard, jobs))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_run_shard, job) for job in jobs]
+        return _merge(task, (future.result() for future in futures))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _merge(task: SearchTask, results) -> SearchReport:
+    """Fold shard results in order; find-first stops after the first shard with a solution."""
+    counters = SearchCounters()
+    solutions: list[PhiSpec] = []
+    exhausted = True
     for shard_counters, shard_solutions, shard_exhausted in results:
         counters.add(shard_counters)
         solutions.extend(shard_solutions)
         exhausted = exhausted and shard_exhausted
-
-    solutions.sort(key=lambda s: s.offsets)
-    if task.mode == "find-first" and solutions:
-        solutions = [solutions[0]]
-    return SearchReport(
-        task=task,
-        solutions=tuple(solutions),
-        counters=counters,
-        elapsed=time.perf_counter() - t0,
-        exhausted=exhausted,
-    )
+        if task.mode == "find-first" and solutions:
+            break
+    return SearchReport(task=task, solutions=tuple(solutions), counters=counters, exhausted=exhausted)
 
 
 @dataclass(frozen=True)
@@ -288,7 +272,7 @@ class MaxMResult:
     conclusive: bool = True
 
     def to_json_dict(self) -> dict:
-        """Deterministic JSON payload; wall times deliberately excluded."""
+        """Deterministic JSON payload."""
         return {
             "d": self.d,
             "from": self.m_low,

@@ -740,17 +740,19 @@ def _orientation_map(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
     return out
 
 
-def find_isomorphism(
-    g1: BipartiteGraph, g2: BipartiteGraph, max_order: int = 500
-) -> dict[Vertex, Vertex] | None:
+#: Largest vertex count ``find_isomorphism`` accepts.
+MAX_ISO_ORDER = 500
+
+
+def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Vertex] | None:
     """Exact isomorphism witness (vertex bijection), or None.
 
     Uses iterated color refinement with individualization backtracking; both
     side orientations are tried, so side-swapped matches are found. Instances
-    above ``max_order`` vertices are refused.
+    above ``MAX_ISO_ORDER`` vertices are refused.
     """
-    if g1.order > max_order or g2.order > max_order:
-        raise BudgetError(f"isomorphism capped at {max_order} vertices")
+    if g1.order > MAX_ISO_ORDER or g2.order > MAX_ISO_ORDER:
+        raise BudgetError(f"isomorphism capped at {MAX_ISO_ORDER} vertices")
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return None
     if _pair_invariant(g1) != _pair_invariant(g2):
@@ -763,10 +765,6 @@ def find_isomorphism(
         flip = {LEFT: RIGHT, RIGHT: LEFT}
         return {v: (flip[w[0]], w[1]) for v, w in swapped.items()}
     return None
-
-
-def is_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph, max_order: int = 500) -> bool:
-    return find_isomorphism(g1, g2, max_order=max_order) is not None
 
 
 def verify_isomorphism(

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
+import multiprocessing
 from itertools import combinations
+
+import pytest
 
 from bipmoore.circulant import PhiSpec, diameter_at_most_3, format_spec, two_step_residues
 from bipmoore.search import SearchTask, max_m, search_offsets
@@ -104,11 +105,42 @@ def test_find_first_mode():
         assert not report.exhausted
 
 
-def test_count_only_mode():
-    counted = search_offsets(SearchTask(d=5, m=16, mode="count-only"))
-    full = search_offsets(SearchTask(d=5, m=16))
-    assert counted.solutions == ()
-    assert counted.counters.solutions_found == len(full.solutions)
+@pytest.mark.parametrize(
+    "d, m, witness, nodes, by_bound, by_symmetry",
+    [
+        (5, 17, "phi 17: 3,11", 10, 8, 0),
+        (6, 25, "phi 25: 2,7,11", 27, 23, 0),
+        (7, 39, "phi 39: 3,12,17,32", 475, 444, 27),
+        (8, 45, "phi 45: 2,4,11,17,25", 2638, 2464, 0),
+    ],
+)
+def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
+    """Find-first reads shards in order and stops at the first one with a
+    solution: the counters cover exactly the shards up to it."""
+    task = SearchTask(d=d, m=m, mode="find-first")
+    report = search_offsets(task)
+    c = report.counters
+    assert [format_spec(s) for s in report.solutions] == [witness]
+    assert (c.solutions_found, c.nodes_visited, c.pruned_by_bound, c.pruned_by_symmetry) == (
+        1,
+        nodes,
+        by_bound,
+        by_symmetry,
+    )
+    assert report.exhausted is False
+    assert report.solutions[0] == search_offsets(SearchTask(d=d, m=m)).solutions[0]
+    assert search_offsets(task, workers=2).to_json_dict() == report.to_json_dict()
+    assert multiprocessing.active_children() == []
+
+
+def test_find_first_budget_worker_determinism():
+    """Budget-stopped shards before the deciding one: the same report at any
+    worker count."""
+    task = SearchTask(d=8, m=45, mode="find-first", node_budget=10000)
+    report = search_offsets(task)
+    assert report.counters.budget_stops > 0
+    assert len(report.solutions) == 1
+    assert search_offsets(task, workers=2).to_json_dict() == report.to_json_dict()
 
 
 def test_budget_interrupts():
