@@ -1,24 +1,36 @@
 """Exhaustive enumeration of offset tuples with full two-step residue coverage.
 
 The search walks ascending offset tuples ``a_1 < ... < a_{d-3}`` over
-``[2, m-2]``, keeps a residue-coverage bitmask per partial tuple, and prunes:
+``[2, m-2]`` and keeps a residue-coverage bitmask per partial tuple. It
+checks forward: a node with ``k`` offsets chosen carries its live
+candidates ``w``, each with the mask of the residues it would add, namely
+``offset_residues(w)`` and ``+-(w - b)`` for every chosen ``b``. Placing an
+offset extends every mask by one difference pair. Pruning is:
 
-* by an admissibility bound: with ``k`` offsets chosen and ``r`` still to
-  pick, the future offsets can add at most ``r*(6 + 2k) + r*(r-1)`` new
-  residues, so a partial tuple whose coverage cannot reach ``m`` is dead;
+* by an admissibility bound: the ``r`` offsets still to place can add at
+  most ``r*(6 + 2k) + r*(r-1)`` new residues. The node's **slack** is
+  ``covered + r*(6 + 2k) + r*(r-1) - m``; it must stay non-negative;
+* by waste: a candidate's **waste** is ``6 + 2k`` minus the new residues
+  its mask adds. The wastes of the ``r`` offsets that complete a tuple sum
+  to at most the slack, and a candidate's waste never decreases as offsets
+  are added: its mask gains at most two residues, the allowance ``6 + 2k``
+  grows by two and the coverage only grows. So every candidate whose waste
+  exceeds the slack is dropped for the whole subtree, and a node dies when
+  fewer live candidates remain than offsets still to place. Placing a live
+  candidate lowers the slack by its waste, so every placed leaf is a full
+  cover;
 * by the negation symmetry: a tuple and its negation mod ``m`` describe
   isomorphic graphs, so only tuples that are lexicographically no larger
-  than their negation image are kept, and candidates that would force a
-  larger-than-negation tuple are cut as soon as the first offset fixes the
-  comparison.
+  than their negation image are kept, and candidates beyond ``m - a_1``,
+  which would force a larger-than-negation tuple, are never listed.
 
 Sharding is by the value of the first free offset position. Shards are
 read in ascending order and each walks its subtree lexicographically, so
 the merged solution list is sorted as it is built. ``find-first`` stops the
 shard that finds a solution and reads no shard after it: the report holds
-the smallest canonical solution and the work of the shards up to it. Node
-budgets are divided evenly across shards. Reports are byte-identical for
-any worker count.
+the smallest canonical solution and the work of the shards up to it. A
+node budget is split across shards so that the shard budgets sum to it.
+Reports are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -70,8 +82,17 @@ class SearchTask:
 
 @dataclass
 class SearchCounters:
-    """Work accounting. ``nodes_visited`` counts offset placements beyond the
-    prefix; prune counters count cut candidates/subtrees by cause."""
+    """Work accounting.
+
+    ``nodes_visited`` counts offset placements beyond the prefix; only live
+    candidates are placed. ``pruned_by_bound`` counts placed nodes that died
+    because too few live candidates remained to finish the tuple, so it
+    never exceeds ``nodes_visited``, and ``1 - pruned_by_bound /
+    nodes_visited`` is the share of placed nodes that were leaves or went
+    on to place a child. ``pruned_by_symmetry`` counts the candidates beyond
+    ``m - a_1`` (once per shard) and the full-coverage leaves larger than
+    their negation. ``budget_stops`` counts shards cut by the node budget.
+    """
 
     nodes_visited: int = 0
     pruned_by_bound: int = 0
@@ -141,8 +162,11 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     units = [0] * (m - 1)
     for a in range(2, m - 1):
         units[a] = _residue_mask(m, offset_residues(a))
+    # pair[t]: the differences +-t between two offsets t apart.
+    pair = [(1 << t) | (1 << (m - t)) for t in range(m)]
     # bound_add[k]: most residues the n - k offsets still to place can add.
     bound_add = [(n - k) * (6 + 2 * k) + (n - k) * (n - k - 1) for k in range(n + 1)]
+    full = (1 << m) - 1
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     find_first = task.mode == "find-first"
@@ -156,8 +180,7 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     for idx, a in enumerate(prefix):
         covered |= units[a]
         for b in prefix[:idx]:
-            covered |= 1 << ((a - b) % m)
-            covered |= 1 << ((b - a) % m)
+            covered |= pair[a - b]
 
     def accept(chosen: list[int]) -> None:
         offsets = tuple(chosen)
@@ -170,33 +193,37 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
         else:
             counters.pruned_by_symmetry += 1
 
-    def place(v: int, chosen: list[int], covered: int) -> None:
-        # chosen includes the prefix; only non-prefix placements reach here
+    def need(k: int, covered: int) -> int:
+        """Fewest new residues a live candidate adds at a node with ``k``
+        offsets: ``6 + 2k`` less the node's slack."""
+        return 6 + 2 * k - (covered.bit_count() + bound_add[k] - m)
+
+    def place(v: int, mask_v: int, chosen: list[int], covered: int, rest: list) -> None:
+        # chosen includes the prefix; only non-prefix placements reach here.
+        # rest: the live (candidate, mask against chosen) pairs after v.
         if budget is not None and counters.nodes_visited >= budget:
             counters.budget_stops += 1
             raise _StopShard
         counters.nodes_visited += 1
-        new = covered | units[v]
-        for b in chosen:
-            new |= 1 << ((v - b) % m)
-            new |= 1 << ((b - v) % m)
+        covered |= mask_v
         chosen.append(v)
-        k = len(chosen)
-        if new.bit_count() + bound_add[k] < m:
-            counters.pruned_by_bound += 1
-        elif k == n:
+        r = n - len(chosen)
+        if r == 0:
             accept(chosen)
         else:
-            extend(chosen, new)
+            least = need(len(chosen), covered)
+            uncovered = full ^ covered
+            live = [
+                (w, x)
+                for w, mw in rest
+                if ((x := mw | pair[w - v]) & uncovered).bit_count() >= least
+            ]
+            if len(live) < r:
+                counters.pruned_by_bound += 1
+            # Only candidates followed by enough live ones to finish the tuple.
+            for i in range(len(live) - r + 1):
+                place(*live[i], chosen, covered, live[i + 1 :])
         chosen.pop()
-
-    def extend(chosen: list[int], covered: int) -> None:
-        start = chosen[-1] + 1
-        for v in range(start, m - 1):
-            if v > sym_cap:
-                counters.pruned_by_symmetry += (m - 1) - v
-                break
-            place(v, chosen, covered)
 
     exhausted = True
     v = shard_value
@@ -207,7 +234,22 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
         elif v > sym_cap:
             counters.pruned_by_symmetry += 1
         else:
-            place(v, list(prefix), covered)
+            k = len(prefix)
+            if k + 1 < n:
+                # Candidates beyond m - a_1 are never listed.
+                counters.pruned_by_symmetry += (m - 2) - sym_cap
+            # The prefix node's live candidates from v on; the shard places only v.
+            least = need(k, covered)
+            uncovered = full ^ covered
+            live = []
+            for w in range(v, sym_cap + 1):
+                mw = units[w]
+                for b in prefix:
+                    mw |= pair[w - b]
+                if (mw & uncovered).bit_count() >= least:
+                    live.append((w, mw))
+            if live and live[0][0] == v and len(live) >= n - k:
+                place(*live[0], prefix, covered, live[1:])
     except _StopShard:
         # A find-first stop after the only candidate of a pinned prefix
         # leaves nothing unvisited.
@@ -231,10 +273,11 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
         start = task.prefix[-1] + 1 if task.prefix else 2
         shard_values = list(range(start, task.m - 1))
     if task.node_budget is None:
-        shard_budget = None
+        budgets = [None] * len(shard_values)
     else:
-        shard_budget = -(-task.node_budget // max(1, len(shard_values)))
-    jobs = [(task, v, shard_budget) for v in shard_values]
+        share, extra = divmod(task.node_budget, max(1, len(shard_values)))
+        budgets = [share + (i < extra) for i in range(len(shard_values))]
+    jobs = [(task, v, budget) for v, budget in zip(shard_values, budgets)]
     if workers == 1 or len(jobs) <= 1:
         return _merge(task, map(_run_shard, jobs))
     pool = ProcessPoolExecutor(max_workers=workers)

@@ -2,6 +2,8 @@
 
 Everything here deliberately avoids the library's bitset internals: plain
 dictionaries, deques and quadruple loops only, so agreement is meaningful.
+The one exception is ``bound_only_search_oracle``, the search engine's
+previous algorithm, which keeps its own residue masks as plain integers.
 """
 
 from __future__ import annotations
@@ -140,20 +142,44 @@ def components_oracle(groups) -> set[frozenset]:
     return out
 
 
+def diameter_at_most_oracle(g: BipartiteGraph, bound: int) -> bool:
+    """Whether every vertex reaches every other within ``bound`` steps.
+
+    Breadth-first search from each vertex, stopping at the first vertex that
+    leaves some vertex farther away. Neighbour lists are read from the graph
+    once, when first needed.
+    """
+    adj: dict[Vertex, list[Vertex]] = {}
+    for source in g.vertices():
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            if dist[u] == bound:
+                continue
+            if u not in adj:
+                adj[u] = g.neighbors(u)
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) < g.order:
+            return False
+    return True
+
+
 def naive_coverage_solutions(d: int, m: int) -> set[tuple[int, ...]]:
     """Canonical offset tuples whose graphs have BFS diameter at most 3.
 
     No pruning, no residue arithmetic: every tuple is built as a graph and
-    measured with the dictionary BFS above.
+    measured by breadth-first search.
     """
     from bipmoore.circulant import PhiSpec, build_phi_spec
 
     n_offsets = d - 3
     found: set[tuple[int, ...]] = set()
     for offsets in combinations(range(2, m - 1), n_offsets):
-        spec = PhiSpec(m, offsets)
-        g = build_phi_spec(spec)
-        if diameter_oracle(g) <= 3:
+        if diameter_at_most_oracle(build_phi_spec(PhiSpec(m, offsets)), 3):
             negated = tuple(sorted(m - a for a in offsets))
             found.add(min(offsets, negated))
     return found
@@ -176,3 +202,74 @@ def random_bipartite(rng, n_left: int, n_right: int, p: float) -> BipartiteGraph
         [j for j in range(n_right) if rng.random() < p] for _ in range(n_left)
     ]
     return BipartiteGraph.from_neighbor_lists(lists, n_right)
+
+
+class _FirstSolution(Exception):
+    """Unwinds the bound-only walk at its first solution."""
+
+
+def bound_only_search_oracle(d: int, m: int, mode: str = "find-all"):
+    """The offset search as a bound-only walk, kept as the engine's reference.
+
+    This is the walk ``bipmoore.search`` used before forward checking, run
+    serially over the shards ``a_1 = 2, ..., m - 2``. Every offset is placed
+    and counted as a node first; the node is then cut when the admissibility
+    bound ``covered + r*(6 + 2k) + r*(r - 1) < m`` holds, with ``k`` offsets
+    chosen and ``r`` still to place. Candidates beyond ``m - a_1`` are cut
+    (and counted) at every extension, and a full-coverage leaf larger than
+    its negation counts as a symmetry prune. ``find-first`` stops at the
+    first solution.
+
+    Returns the canonical solutions as sorted offset tuples and the counters
+    ``(solutions_found, nodes_visited, pruned_by_bound, pruned_by_symmetry)``.
+    """
+    n = d - 3
+
+    def mask(values) -> int:
+        out = 0
+        for value in values:
+            out |= 1 << (value % m)
+        return out
+
+    units = {a: mask((a, -a, a + 1, -a - 1, a - 1, -a + 1)) for a in range(2, m - 1)}
+    bound_add = [(n - k) * (6 + 2 * k) + (n - k) * (n - k - 1) for k in range(n + 1)]
+    counts = {"solutions": 0, "nodes": 0, "bound": 0, "symmetry": 0}
+    solutions: list[tuple[int, ...]] = []
+
+    def place(v: int, chosen: list[int], covered: int, sym_cap: int) -> None:
+        counts["nodes"] += 1
+        new = covered | units[v]
+        for b in chosen:
+            new |= 1 << ((v - b) % m)
+            new |= 1 << ((b - v) % m)
+        chosen.append(v)
+        k = len(chosen)
+        if new.bit_count() + bound_add[k] < m:
+            counts["bound"] += 1
+        elif k == n:
+            offsets = tuple(chosen)
+            if offsets <= tuple(sorted(m - a for a in offsets)):
+                counts["solutions"] += 1
+                solutions.append(offsets)
+                if mode == "find-first":
+                    raise _FirstSolution
+            else:
+                counts["symmetry"] += 1
+        else:
+            for w in range(v + 1, m - 1):
+                if w > sym_cap:
+                    counts["symmetry"] += (m - 1) - w
+                    break
+                place(w, chosen, new, sym_cap)
+        chosen.pop()
+
+    base = mask((0, 1, -1, 2, -2))
+    try:
+        for a1 in range(2, m - 1):
+            if a1 > m - a1:
+                counts["symmetry"] += 1
+            else:
+                place(a1, [], base, m - a1)
+    except _FirstSolution:
+        pass
+    return solutions, (counts["solutions"], counts["nodes"], counts["bound"], counts["symmetry"])

@@ -112,14 +112,15 @@ def test_search_text_and_expectations(capsys):
 
 
 def test_search_json_deterministic_across_workers(capsys):
-    outputs = []
-    for workers in ("1", "2"):
-        code, out, _ = run(
-            capsys, "search", "--d", "6", "--m", "25", "--json", "--workers", workers
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+    for d, m in (("6", "25"), ("8", "45"), ("10", "89")):
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run(
+                capsys, "search", "--d", d, "--m", m, "--json", "--workers", workers
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 def test_search_budget_exit(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from bipmoore.circulant import PhiSpec, diameter_at_most_3, format_spec, two_step_residues
 from bipmoore.search import SearchTask, max_m, search_offsets
-from oracles import naive_coverage_solutions
+from oracles import bound_only_search_oracle, naive_coverage_solutions
 
 
 def test_degree4_modulus11_unique_solution():
@@ -40,8 +40,30 @@ def test_degree7_modulus41_empty():
     ],
 )
 def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
-    """Exact work counts: the engine is deterministic, so any change in
-    pruning or enumeration order shows here."""
+    """Exact work counts of the bound-only oracle, as the engine measured
+    them before forward checking: any change to the oracle shows here."""
+    found, counters = bound_only_search_oracle(d, m)
+    assert counters == (solutions, nodes, by_bound, by_symmetry)
+    assert len(found) == solutions
+
+
+@pytest.mark.parametrize(
+    "d, m, solutions, nodes, by_bound, by_symmetry",
+    [
+        (5, 19, 1, 6, 4, 36),
+        (6, 29, 0, 38, 31, 91),
+        (7, 41, 0, 217, 156, 190),
+        (8, 55, 0, 1402, 1088, 351),
+        (9, 71, 0, 9443, 7132, 595),
+        (5, 17, 4, 10, 3, 28),
+        (6, 25, 14, 103, 67, 66),
+        (8, 45, 210, 31200, 26564, 232),
+        (10, 89, 0, 65326, 50774, 946),
+    ],
+)
+def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
+    """Exact work counts of the forward-checking engine: it is deterministic,
+    so any change in pruning or enumeration order shows here."""
     report = search_offsets(SearchTask(d=d, m=m))
     c = report.counters
     assert (c.solutions_found, c.nodes_visited, c.pruned_by_bound, c.pruned_by_symmetry) == (
@@ -50,7 +72,22 @@ def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
         by_bound,
         by_symmetry,
     )
+    assert 0 <= c.pruned_by_bound <= c.nodes_visited
     assert len(report.solutions) == solutions
+    assert report.exhausted
+
+
+@pytest.mark.parametrize(
+    "d, m",
+    [(d, m) for d in range(4, 8) for m in range(max(5, d), d * d - d)]
+    + [(8, 45), (8, 51), (8, 55), (9, 71)],
+)
+def test_engine_matches_bound_only_oracle(d, m):
+    """Dropping candidates by slack never loses a solution the bound-only
+    walk finds, nor adds one."""
+    found, _ = bound_only_search_oracle(d, m)
+    report = search_offsets(SearchTask(d=d, m=m))
+    assert [s.offsets for s in report.solutions] == found
     assert report.exhausted
 
 
@@ -66,6 +103,14 @@ def test_degree4_agrees_with_naive_enumerator(m):
 def test_degree5_agrees_with_naive_enumerator(m):
     expected = naive_coverage_solutions(5, m)
     report = search_offsets(SearchTask(d=5, m=m))
+    assert {s.offsets for s in report.solutions} == expected
+    assert report.exhausted
+
+
+@pytest.mark.parametrize("m", range(6, 30))
+def test_degree6_agrees_with_naive_enumerator(m):
+    expected = naive_coverage_solutions(6, m)
+    report = search_offsets(SearchTask(d=6, m=m))
     assert {s.offsets for s in report.solutions} == expected
     assert report.exhausted
 
@@ -115,6 +160,25 @@ def test_find_first_mode():
     ],
 )
 def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
+    """The bound-only oracle's find-first counters, as the engine measured
+    them before forward checking, and the engine's witness is the oracle's."""
+    found, counters = bound_only_search_oracle(d, m, mode="find-first")
+    assert [format_spec(PhiSpec(m, t)) for t in found] == [witness]
+    assert counters == (1, nodes, by_bound, by_symmetry)
+    report = search_offsets(SearchTask(d=d, m=m, mode="find-first"))
+    assert [format_spec(s) for s in report.solutions] == [witness]
+
+
+@pytest.mark.parametrize(
+    "d, m, witness, nodes, by_bound, by_symmetry",
+    [
+        (5, 17, "phi 17: 3,11", 2, 0, 1),
+        (6, 25, "phi 25: 2,7,11", 4, 1, 0),
+        (7, 39, "phi 39: 3,12,17,32", 27, 19, 1),
+        (8, 45, "phi 45: 2,4,11,17,25", 147, 119, 0),
+    ],
+)
+def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     """Find-first reads shards in order and stops at the first one with a
     solution: the counters cover exactly the shards up to it."""
     task = SearchTask(d=d, m=m, mode="find-first")
@@ -136,7 +200,7 @@ def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
 def test_find_first_budget_worker_determinism():
     """Budget-stopped shards before the deciding one: the same report at any
     worker count."""
-    task = SearchTask(d=8, m=45, mode="find-first", node_budget=10000)
+    task = SearchTask(d=8, m=45, mode="find-first", node_budget=5000)
     report = search_offsets(task)
     assert report.counters.budget_stops > 0
     assert len(report.solutions) == 1
@@ -144,10 +208,12 @@ def test_find_first_budget_worker_determinism():
 
 
 def test_budget_interrupts():
-    report = search_offsets(SearchTask(d=7, m=41, node_budget=50))
-    assert not report.exhausted
-    assert report.counters.budget_stops > 0
-    assert report.counters.nodes_visited <= 50 + report.counters.budget_stops
+    """The shard budgets sum to the task's budget, so no search overshoots it."""
+    for d, m, budget in ((7, 41, 50), (9, 71, 10)):
+        report = search_offsets(SearchTask(d=d, m=m, node_budget=budget))
+        assert not report.exhausted
+        assert report.counters.budget_stops > 0
+        assert report.counters.nodes_visited <= budget
 
 
 def test_prefix_membership_checks():
