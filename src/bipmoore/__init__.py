@@ -30,9 +30,11 @@ from .graphs import (
     RIGHT,
     BipartiteGraph,
     DistanceProfile,
+    GraphCheck,
     RegularityVerdict,
     Vertex,
     bfs_distances,
+    check_graph,
     diameter,
     format_adjacency,
     girth,

@@ -20,8 +20,8 @@ from .bounds import max_m_upper_bound, moore_bound
 from .caseanalysis import nonexistence_case_audit
 from .circulant import build_phi_spec, format_spec, parse_spec
 from .graphs import (
-    INF,
     BipartiteGraph,
+    check_graph,
     diameter,
     girth,
     parse_adjacency,
@@ -50,10 +50,6 @@ EXIT_BUDGET = 3
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps({"schemaVersion": SCHEMA_VERSION, **payload}, indent=2))
-
-
-def _finite_or_infinite(x: float):
-    return "infinite" if x == INF else int(x)
 
 
 def _default_workers() -> int:
@@ -141,46 +137,17 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    verdict = regularity_check(g)
-    diam = diameter(g)
-    gir = girth(g)
-    record = None
-    if verdict.regular and verdict.degree is not None and verdict.degree >= 2 and diam != INF and diam >= 2:
-        record = defect_record(verdict.degree, int(diam), g.order)
-    payload = {
-        "nLeft": g.n_left,
-        "nRight": g.n_right,
-        "order": g.order,
-        "regular": verdict.regular,
-        "degree": verdict.degree,
-        "degreeRange": [verdict.min_degree, verdict.max_degree],
-        "diameter": _finite_or_infinite(diam),
-        "girth": _finite_or_infinite(gir),
-        "mooreBound": record.moore_bound if record else None,
-        "defect": record.defect if record else None,
-    }
+    result = check_graph(_load_graph(args))
     if args.json:
-        _emit_json(payload)
+        _emit_json(result.to_json_dict())
     else:
-        print(f"order {g.order} ({g.n_left}+{g.n_right})")
-        if verdict.regular:
-            print(f"regular, degree {verdict.degree}")
-        else:
-            print(f"irregular, degrees {verdict.min_degree}..{verdict.max_degree}")
-        print(f"diameter {payload['diameter']}")
-        print(f"girth {payload['girth']}")
-        if record:
-            print(f"Moore bound {record.moore_bound}, defect {record.defect}")
-    failures = []
-    if args.expect_diameter is not None and payload["diameter"] != args.expect_diameter:
-        failures.append(f"diameter {payload['diameter']} != expected {args.expect_diameter}")
-    if args.expect_girth is not None and payload["girth"] != args.expect_girth:
-        failures.append(f"girth {payload['girth']} != expected {args.expect_girth}")
-    if args.expect_degree is not None and (not verdict.regular or verdict.degree != args.expect_degree):
-        failures.append(f"not {args.expect_degree}-regular")
-    if args.expect_defect is not None and (record is None or record.defect != args.expect_defect):
-        failures.append(f"defect {payload['defect']} != expected {args.expect_defect}")
+        print(result.to_text())
+    failures = result.failures(
+        diameter=args.expect_diameter,
+        girth=args.expect_girth,
+        degree=args.expect_degree,
+        defect=args.expect_defect,
+    )
     for failure in failures:
         print(f"FAILED: {failure}", file=sys.stderr)
     return EXIT_CHECK_FAILED if failures else EXIT_OK

@@ -6,6 +6,12 @@ one integer bitmask per left vertex (bit ``j`` set when ``(L, i) ~ (R, j)``)
 together with the materialized transpose, so neighborhood unions, BFS
 frontiers and common-neighbor counts are single integer operations.
 
+``bfs_distances`` answers per-source questions. ``diameter`` needs no
+source: it runs one all-sources sweep in which every vertex holds the set
+of vertices within distance ``t`` as one integer, and each sweep ORs in the
+neighbours' sets. A graph of diameter ``D`` with ``E`` edges costs
+``(D + 1) * 2E`` integer ORs, about 8,400 for a 190-vertex 11-regular graph.
+
 Graphs are immutable after construction and safe to share across workers.
 """
 
@@ -14,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+from .bounds import DefectRecord
+from .bounds import defect as defect_record
 
 LEFT = "L"
 RIGHT = "R"
@@ -202,21 +211,34 @@ def bfs_distances(g: BipartiteGraph, source: Vertex) -> DistanceProfile:
 
 
 def diameter(g: BipartiteGraph) -> float:
-    """Largest eccentricity; ``INF`` for disconnected graphs."""
+    """Largest eccentricity; ``INF`` for disconnected graphs.
+
+    One sweep for all sources at once: ``reach[v]`` is the set of vertices
+    within distance ``t`` of ``v``, one bit per vertex (left vertices first),
+    and a sweep widens every set to the union of its neighbours' sets. The
+    diameter is the first ``t`` at which every set is full; a sweep that
+    changes nothing before then means the graph is disconnected. Cost:
+    ``(D + 1) * 2E`` integer ORs for diameter ``D`` and ``E`` edges.
+    """
     if g.order == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    start = (LEFT, 0) if g.n_left else (RIGHT, 0)
-    probe = bfs_distances(g, start)
-    if INF in probe.left_distances or INF in probe.right_distances:
-        return INF
-    best = probe.eccentricity
-    for v in g.vertices():
-        if v == start:
-            continue
-        ecc = bfs_distances(g, v).eccentricity
-        if ecc > best:
-            best = ecc
-    return best
+    full = (1 << g.order) - 1
+    neighbors = [[g.n_left + j for j in bits(row)] for row in g.left_rows]
+    neighbors += [list(bits(row)) for row in g.right_rows]
+    reach = [1 << v for v in range(g.order)]
+    t = 0
+    while True:
+        if all(r == full for r in reach):
+            return t
+        wider = []
+        for r, adjacent in zip(reach, neighbors):
+            for u in adjacent:
+                r |= reach[u]
+            wider.append(r)
+        if wider == reach:
+            return INF
+        reach = wider
+        t += 1
 
 
 def girth(g: BipartiteGraph) -> float:
@@ -285,6 +307,85 @@ def regularity_check(g: BipartiteGraph) -> RegularityVerdict:
     if lo == hi:
         return RegularityVerdict(True, lo, lo, hi)
     return RegularityVerdict(False, None, lo, hi)
+
+
+def _hops(x: float) -> int | str:
+    return "infinite" if x == INF else int(x)
+
+
+@dataclass(frozen=True)
+class GraphCheck:
+    """Regularity, diameter and girth of one graph, with its Moore defect
+    when the graph is regular of degree >= 2 with finite diameter >= 2."""
+
+    n_left: int
+    n_right: int
+    regularity: RegularityVerdict
+    diameter: float
+    girth: float
+    defect: DefectRecord | None
+
+    @property
+    def order(self) -> int:
+        return self.n_left + self.n_right
+
+    def to_json_dict(self) -> dict:
+        v = self.regularity
+        return {
+            "nLeft": self.n_left,
+            "nRight": self.n_right,
+            "order": self.order,
+            "regular": v.regular,
+            "degree": v.degree,
+            "degreeRange": [v.min_degree, v.max_degree],
+            "diameter": _hops(self.diameter),
+            "girth": _hops(self.girth),
+            "mooreBound": self.defect.moore_bound if self.defect else None,
+            "defect": self.defect.defect if self.defect else None,
+        }
+
+    def to_text(self) -> str:
+        v = self.regularity
+        lines = [f"order {self.order} ({self.n_left}+{self.n_right})"]
+        if v.regular:
+            lines.append(f"regular, degree {v.degree}")
+        else:
+            lines.append(f"irregular, degrees {v.min_degree}..{v.max_degree}")
+        lines.append(f"diameter {_hops(self.diameter)}")
+        lines.append(f"girth {_hops(self.girth)}")
+        if self.defect:
+            lines.append(f"Moore bound {self.defect.moore_bound}, defect {self.defect.defect}")
+        return "\n".join(lines)
+
+    def failures(
+        self,
+        diameter: int | None = None,
+        girth: int | None = None,
+        degree: int | None = None,
+        defect: int | None = None,
+    ) -> list[str]:
+        """One message per expectation given that the graph contradicts."""
+        out = []
+        if diameter is not None and _hops(self.diameter) != diameter:
+            out.append(f"diameter {_hops(self.diameter)} != expected {diameter}")
+        if girth is not None and _hops(self.girth) != girth:
+            out.append(f"girth {_hops(self.girth)} != expected {girth}")
+        if degree is not None and (not self.regularity.regular or self.regularity.degree != degree):
+            out.append(f"not {degree}-regular")
+        found = self.defect.defect if self.defect else None
+        if defect is not None and found != defect:
+            out.append(f"defect {found} != expected {defect}")
+        return out
+
+
+def check_graph(g: BipartiteGraph) -> GraphCheck:
+    """Measure ``g`` the way the ``check`` command reports it."""
+    verdict = regularity_check(g)
+    diam = diameter(g)
+    record = None
+    if verdict.regular and verdict.degree is not None and verdict.degree >= 2 and diam != INF and diam >= 2:
+        record = defect_record(verdict.degree, diam, g.order)
+    return GraphCheck(g.n_left, g.n_right, verdict, diam, girth(g), record)
 
 
 # ---------------------------------------------------------------------------

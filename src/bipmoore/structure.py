@@ -709,10 +709,7 @@ def _pair_invariant(g: BipartiteGraph) -> tuple:
     """Sound isomorphism invariant: per-side distributions of common-neighbor
     counts over same-side vertex pairs, as an unordered side pair."""
     def side_hist(rows: tuple[int, ...]) -> tuple:
-        hist: Counter[int] = Counter()
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                hist[(rows[a] & rows[b]).bit_count()] += 1
+        hist = Counter((a & b).bit_count() for a, b in combinations(rows, 2))
         return tuple(sorted(hist.items()))
 
     return tuple(sorted((side_hist(g.left_rows), side_hist(g.right_rows))))

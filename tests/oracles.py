@@ -118,6 +118,25 @@ def pairwise_labels_oracle(g: BipartiteGraph) -> dict[tuple[tuple[int, int], tup
     return labels
 
 
+def pair_invariant_oracle(g: BipartiteGraph) -> tuple:
+    """Per-side histograms of common-neighbour counts over same-side vertex
+    pairs, counted by nested index loops over neighbour sets, as a sorted
+    side pair (the shape ``structure._pair_invariant`` returns)."""
+    adj = adjacency_dict(g)
+    left = [set(adj[(LEFT, i)]) for i in range(g.n_left)]
+    right = [set(adj[(RIGHT, j)]) for j in range(g.n_right)]
+
+    def side_hist(sets: list[set]) -> tuple:
+        hist: dict[int, int] = {}
+        for a in range(len(sets)):
+            for b in range(a + 1, len(sets)):
+                common = len(sets[a] & sets[b])
+                hist[common] = hist.get(common, 0) + 1
+        return tuple(sorted(hist.items()))
+
+    return tuple(sorted((side_hist(left), side_hist(right))))
+
+
 def components_oracle(groups) -> set[frozenset]:
     """Connected components by breadth-first search, where each group of
     items joins all of its members."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -108,6 +109,17 @@ def test_coverage_equals_bfs_diameter_sample():
         n_offsets = rng.randint(0, min(5, m - 3))
         spec = PhiSpec(m, tuple(rng.sample(range(2, m - 1), n_offsets)))
         assert diameter_at_most_3(spec) == (diameter_oracle(build_phi_spec(spec)) <= 3)
+
+
+def test_coverage_equals_bfs_diameter_exhaustive_small_moduli():
+    checked = 0
+    for m in range(5, 22):
+        for n_offsets in range(3):
+            for offsets in combinations(range(2, m - 1), n_offsets):
+                spec = PhiSpec(m, offsets)
+                assert diameter_at_most_3(spec) == (diameter(build_phi_spec(spec)) <= 3), spec
+                checked += 1
+    assert checked == 1156
 
 
 def test_canonicalize():

@@ -69,12 +69,32 @@ def test_check_expectation_failure(capsys):
     assert "FAILED" in err
 
 
+def test_check_text_and_every_expectation_failure(capsys):
+    code, out, err = run(
+        capsys, "check", "--spec", "phi 11: 4", "--expect-diameter", "4",
+        "--expect-girth", "6", "--expect-degree", "5", "--expect-defect", "2",
+    )
+    assert code == 1
+    assert out == (
+        "order 22 (11+11)\nregular, degree 4\ndiameter 3\ngirth 4\n"
+        "Moore bound 26, defect 4\n"
+    )
+    assert err == (
+        "FAILED: diameter 3 != expected 4\nFAILED: girth 4 != expected 6\n"
+        "FAILED: not 5-regular\nFAILED: defect 4 != expected 2\n"
+    )
+
+
 def test_check_disconnected_reports_infinite(tmp_path, capsys):
     path = tmp_path / "two_squares.adj"
     path.write_bytes(b"4 4\nx0: 0 1\nx1: 0 1\nx2: 2 3\nx3: 2 3\n")
     code, out, _ = run(capsys, "check", "--in", str(path), "--json")
     assert code == 0
     assert json.loads(out)["diameter"] == "infinite"
+    code, out, err = run(capsys, "check", "--in", str(path), "--expect-diameter", "3", "--expect-defect", "0")
+    assert code == 1
+    assert "diameter infinite\n" in out
+    assert err == "FAILED: diameter infinite != expected 3\nFAILED: defect None != expected 0\n"
 
 
 def test_check_edge_list_input(tmp_path, capsys):

@@ -21,6 +21,7 @@ from bipmoore.graphs import (
     regularity_check,
     write_adjacency,
 )
+from bipmoore.witnesses import KNOWN_DEGREE11_SPECS
 from oracles import bfs_oracle, diameter_oracle, girth_oracle, random_bipartite
 
 
@@ -96,16 +97,55 @@ def test_diameter_examples():
     assert diameter(two_squares) == INF
 
 
+def largest_eccentricity(g: BipartiteGraph) -> float:
+    """The largest BFS eccentricity, or ``INF`` when some source misses a vertex."""
+    profiles = [bfs_distances(g, v) for v in g.vertices()]
+    if any(INF in p.left_distances + p.right_distances for p in profiles):
+        return INF
+    return max(p.eccentricity for p in profiles)
+
+
+def assert_diameter_agrees(g: BipartiteGraph) -> float:
+    found = diameter(g)
+    assert found == diameter_oracle(g) == largest_eccentricity(g)
+    return found
+
+
 def test_diameter_is_max_eccentricity():
     rng = random.Random(99)
-    checked = 0
-    while checked < 10:
-        g = random_bipartite(rng, rng.randint(2, 7), rng.randint(2, 7), 0.6)
-        if diameter_oracle(g) == INF:
-            continue
-        eccs = [bfs_distances(g, v).eccentricity for v in g.vertices()]
-        assert diameter(g) == max(eccs) == diameter_oracle(g)
-        checked += 1
+    seen = set()
+    for _ in range(200):
+        g = random_bipartite(
+            rng, rng.randint(1, 12), rng.randint(1, 12), rng.choice((0.15, 0.3, 0.5, 0.8))
+        )
+        seen.add(assert_diameter_agrees(g))
+    # the sample reaches disconnected graphs and several finite diameters
+    assert INF in seen and {2, 3, 4, 5} <= seen
+
+
+def test_diameter_one_sided_graphs():
+    assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([[]], 0)) == 0
+    assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([], 1)) == 0
+    assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([[], [], []], 0)) == INF
+    assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([], 2)) == INF
+    assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([[0]], 1)) == 1
+    assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([[0], []], 1)) == INF
+
+
+def test_diameter_long_cycles():
+    for length in range(4, 201, 2):
+        g = cycle_graph(length)
+        assert diameter(g) == largest_eccentricity(g) == length // 2
+        if length % 8 == 0:
+            assert diameter_oracle(g) == length // 2
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [(text, 3) for text in KNOWN_DEGREE11_SPECS] + [("phi 95: 5,7,16,27,38,52,62,81", 4)],
+)
+def test_diameter_degree11_records(text, expected):
+    assert assert_diameter_agrees(build_phi_spec(parse_spec(text))) == expected
 
 
 def test_diameter_empty_graph():

@@ -1,0 +1,44 @@
+"""Property tests on generated inputs: the all-sources diameter against
+breadth-first search, and residue coverage against the diameter.
+
+Examples are derandomized, so every run checks the same inputs.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bipmoore.circulant import PhiSpec, build_phi_spec, diameter_at_most_3
+from bipmoore.graphs import BipartiteGraph, diameter
+from oracles import diameter_oracle
+
+FIXED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def bipartite_graphs(draw) -> BipartiteGraph:
+    n_left = draw(st.integers(0, 9))
+    n_right = draw(st.integers(0 if n_left else 1, 9))
+    row = st.sets(st.integers(0, n_right - 1)) if n_right else st.just(set())
+    rows = draw(st.lists(row, min_size=n_left, max_size=n_left))
+    return BipartiteGraph.from_neighbor_lists([sorted(r) for r in rows], n_right)
+
+
+@st.composite
+def phi_specs(draw) -> PhiSpec:
+    m = draw(st.integers(5, 60))
+    offsets = draw(st.sets(st.integers(2, m - 2), max_size=min(6, m - 3)))
+    return PhiSpec(m, tuple(offsets))
+
+
+@FIXED
+@given(bipartite_graphs())
+def test_diameter_matches_bfs_oracle(g):
+    assert diameter(g) == diameter_oracle(g)
+
+
+@FIXED
+@given(phi_specs())
+def test_coverage_matches_diameter(spec):
+    assert diameter_at_most_3(spec) == (diameter(build_phi_spec(spec)) <= 3)

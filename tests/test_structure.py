@@ -13,14 +13,17 @@ from bipmoore.structure import (
     BudgetError,
     check_observations,
     classify_and_decompose,
+    _pair_invariant,
     find_isomorphism,
     repeat_structure,
     short_cycles,
     verify_isomorphism,
 )
+from bipmoore.witnesses import KNOWN_DEGREE11_SPECS
 from oracles import (
     components_oracle,
     four_cycles_oracle,
+    pair_invariant_oracle,
     pairwise_labels_oracle,
     random_bipartite,
 )
@@ -414,6 +417,20 @@ def test_observation_json_round_trip():
 # ---------------------------------------------------------------------------
 # isomorphism
 # ---------------------------------------------------------------------------
+
+
+def test_pair_invariant_matches_nested_loop_oracle():
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(60):
+        small, large = rng.randint(0, 8), rng.randint(1, 5)
+        sides = (small, small + large) if rng.random() < 0.5 else (small + large, small)
+        graphs.append(random_bipartite(rng, *sides, rng.choice((0.2, 0.5, 0.8))))
+    graphs += [build_theta(2), build_phi_spec(parse_spec(KNOWN_DEGREE11_SPECS[0]))]
+    for g in graphs:
+        expected = pair_invariant_oracle(g)
+        assert _pair_invariant(g) == expected
+        assert _pair_invariant(g.transpose()) == expected
 
 
 def test_negation_pair_isomorphic_with_witness():
