@@ -49,12 +49,14 @@ from .structure import (
     BudgetError,
     Decomposition,
     FourCycle,
+    IsoCheck,
     ObservationReport,
     ObservationResult,
     PhiComponent,
     RepeatStructure,
     ShortCycleSet,
     ThetaComponent,
+    check_isomorphism,
     check_observations,
     classify_and_decompose,
     find_isomorphism,

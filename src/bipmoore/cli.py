@@ -32,10 +32,10 @@ from .graphs import (
 from .search import SearchTask, max_m, search_offsets
 from .structure import (
     BudgetError,
+    check_isomorphism,
     check_observations,
     classify_and_decompose,
     find_isomorphism,
-    vertex_name,
 )
 
 SCHEMA_VERSION = 1
@@ -229,28 +229,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
-    g1 = _read_graph_file(args.a)
-    g2 = _read_graph_file(args.b)
-    mapping = find_isomorphism(g1, g2)
-    isomorphic = mapping is not None
+    result = check_isomorphism(_read_graph_file(args.a), _read_graph_file(args.b))
     if args.json:
-        _emit_json(
-            {
-                "isomorphic": isomorphic,
-                "mapping": {vertex_name(v): vertex_name(w) for v, w in mapping.items()}
-                if mapping
-                else None,
-            }
-        )
+        _emit_json(result.to_json_dict())
     else:
-        print("isomorphic" if isomorphic else "not isomorphic")
-    if args.expect_isomorphic and not isomorphic:
-        print("FAILED: expected isomorphic", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    if args.expect_non_isomorphic and isomorphic:
-        print("FAILED: expected non-isomorphic", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        print(result.to_text())
+    failures = result.failures(isomorphic=args.expect_isomorphic, non_isomorphic=args.expect_non_isomorphic)
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def cmd_audit(args: argparse.Namespace) -> int:

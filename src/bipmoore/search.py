@@ -19,24 +19,44 @@ offset extends every mask by one difference pair. Pruning is:
   fewer live candidates remain than offsets still to place. Placing a live
   candidate lowers the slack by its waste, so every placed leaf is a full
   cover;
+* by the sum of gains: a candidate's **gain** is the number of new residues
+  its mask adds. Each of the ``r`` offsets still to place adds at most its
+  gain at this node plus two for every offset placed between this node and
+  it, so a node dies when its ``r`` largest live gains plus ``r*(r-1)`` fall
+  short of the residues still uncovered. Put in wastes, the ``r`` smallest
+  wastes exceed the slack; at the cap the slack is 0 and the test is void;
 * by the negation symmetry: a tuple and its negation mod ``m`` describe
   isomorphic graphs, so only tuples that are lexicographically no larger
   than their negation image are kept, and candidates beyond ``m - a_1``,
   which would force a larger-than-negation tuple, are never listed.
 
-Sharding is by the value of the first free offset position. Shards are
+Sharding is by the value of the first free offset position. Shards whose
+value already exceeds ``m - a_1`` hold nothing canonical: they are counted
+as symmetry prunes where the search is planned and never run. Shards are
 read in ascending order and each walks its subtree lexicographically, so
 the merged solution list is sorted as it is built. ``find-first`` stops the
 shard that finds a solution and reads no shard after it: the report holds
 the smallest canonical solution and the work of the shards up to it. A
-node budget is split across shards so that the shard budgets sum to it.
-Reports are byte-identical for any worker count.
+node budget is split across all shard values so that the shard budgets sum
+to it. Reports are byte-identical for any worker count.
+
+Every search, and every ``max_m`` scan, runs through one generator of
+merged reports. With more than one worker it starts one process pool for
+the call and queues the shards of every modulus at once, in order, so
+workers do not idle at a modulus boundary. When the reader stops reading,
+it raises a stop flag shared with the workers, whose shards give up within
+64 placements, and shuts the pool down before the call returns, so every
+worker has been reaped by then.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .bounds import max_m_upper_bound
 from .circulant import BASE_RESIDUES, PhiSpec, format_spec, offset_residues
@@ -86,11 +106,12 @@ class SearchCounters:
 
     ``nodes_visited`` counts offset placements beyond the prefix; only live
     candidates are placed. ``pruned_by_bound`` counts placed nodes that died
-    because too few live candidates remained to finish the tuple, so it
-    never exceeds ``nodes_visited``, and ``1 - pruned_by_bound /
-    nodes_visited`` is the share of placed nodes that were leaves or went
-    on to place a child. ``pruned_by_symmetry`` counts the candidates beyond
-    ``m - a_1`` (once per shard) and the full-coverage leaves larger than
+    because too few live candidates remained to finish the tuple or their
+    largest gains fell short, so it never exceeds ``nodes_visited``, and
+    ``1 - pruned_by_bound / nodes_visited`` is the share of placed nodes
+    that were leaves or went on to place a child. ``pruned_by_symmetry``
+    counts the candidates beyond ``m - a_1`` (once per shard), the shard
+    values beyond it (one each) and the full-coverage leaves larger than
     their negation. ``budget_stops`` counts shards cut by the node budget.
     """
 
@@ -141,7 +162,18 @@ class SearchReport:
 
 
 class _StopShard(Exception):
-    """Internal unwind for budget exhaustion / find-first early stop."""
+    """Internal unwind for budget exhaustion / find-first early stop / stop flag."""
+
+
+#: The stop flag of the pool this process works for, set by the pool's
+#: initializer in each worker; None in every other process.
+_stop_flag = None
+
+
+def _set_stop_flag(flag) -> None:
+    """Pool initializer: remember the flag the reader raises when it stops reading."""
+    global _stop_flag
+    _stop_flag = flag
 
 
 def _residue_mask(m: int, values: tuple[int, ...]) -> int:
@@ -151,29 +183,38 @@ def _residue_mask(m: int, values: tuple[int, ...]) -> int:
     return mask
 
 
+@lru_cache(maxsize=2)
+def _tables(m: int) -> tuple[list[int], list[int]]:
+    """``units[a]``: the residues of offset ``a`` alone; ``pair[t]``: the
+    differences ``+-t`` between two offsets ``t`` apart. Built once per
+    modulus per process."""
+    units = [0] * (m - 1)
+    for a in range(2, m - 1):
+        units[a] = _residue_mask(m, offset_residues(a))
+    pair = [(1 << t) | (1 << (m - t)) for t in range(m)]
+    return units, pair
+
+
 def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
     """Explore the subtree where the first free position takes ``shard_value``.
 
     ``shard_value`` is None when the prefix pins every offset: the prefix is
-    then the only candidate and no node is placed.
+    then the only candidate and no node is placed. A shard value beyond
+    ``m - a_1`` never reaches here (see ``_plan``).
     """
     task, shard_value, budget = args
     m, n = task.m, task.d - 3
-    units = [0] * (m - 1)
-    for a in range(2, m - 1):
-        units[a] = _residue_mask(m, offset_residues(a))
-    # pair[t]: the differences +-t between two offsets t apart.
-    pair = [(1 << t) | (1 << (m - t)) for t in range(m)]
+    units, pair = _tables(m)
     # bound_add[k]: most residues the n - k offsets still to place can add.
     bound_add = [(n - k) * (6 + 2 * k) + (n - k) * (n - k - 1) for k in range(n + 1)]
     full = (1 << m) - 1
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     find_first = task.mode == "find-first"
+    stop = _stop_flag
 
     prefix = list(task.prefix)
-    a1 = prefix[0] if prefix else shard_value
-    sym_cap = m - a1
+    sym_cap = m - (prefix[0] if prefix else shard_value)
 
     # Coverage contributed by the prefix itself (not counted as nodes).
     covered = _residue_mask(m, BASE_RESIDUES)
@@ -193,10 +234,8 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
         else:
             counters.pruned_by_symmetry += 1
 
-    def need(k: int, covered: int) -> int:
-        """Fewest new residues a live candidate adds at a node with ``k``
-        offsets: ``6 + 2k`` less the node's slack."""
-        return 6 + 2 * k - (covered.bit_count() + bound_add[k] - m)
+    def slack(k: int, covered: int) -> int:
+        return covered.bit_count() + bound_add[k] - m
 
     def place(v: int, mask_v: int, chosen: list[int], covered: int, rest: list) -> None:
         # chosen includes the prefix; only non-prefix placements reach here.
@@ -204,25 +243,35 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
         if budget is not None and counters.nodes_visited >= budget:
             counters.budget_stops += 1
             raise _StopShard
+        if stop is not None and not counters.nodes_visited & 63 and stop.is_set():
+            raise _StopShard
         counters.nodes_visited += 1
         covered |= mask_v
         chosen.append(v)
-        r = n - len(chosen)
+        k = len(chosen)
+        r = n - k
         if r == 0:
             accept(chosen)
         else:
-            least = need(len(chosen), covered)
+            room = slack(k, covered)
+            least = 6 + 2 * k - room
             uncovered = full ^ covered
             live = [
                 (w, x)
                 for w, mw in rest
                 if ((x := mw | pair[w - v]) & uncovered).bit_count() >= least
             ]
-            if len(live) < r:
+            dead = len(live) < r
+            if not dead and r > 1 and room > 0:
+                # Sum of gains; with no slack or one offset left every live candidate passes it.
+                gains = sorted((x & uncovered).bit_count() for _, x in live)
+                dead = sum(gains[-r:]) + r * (r - 1) < m - covered.bit_count()
+            if dead:
                 counters.pruned_by_bound += 1
-            # Only candidates followed by enough live ones to finish the tuple.
-            for i in range(len(live) - r + 1):
-                place(*live[i], chosen, covered, live[i + 1 :])
+            else:
+                # Only candidates followed by enough live ones to finish the tuple.
+                for i in range(len(live) - r + 1):
+                    place(*live[i], chosen, covered, live[i + 1 :])
         chosen.pop()
 
     exhausted = True
@@ -231,15 +280,13 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
         if v is None:
             if covered.bit_count() == m:
                 accept(prefix)
-        elif v > sym_cap:
-            counters.pruned_by_symmetry += 1
         else:
             k = len(prefix)
             if k + 1 < n:
                 # Candidates beyond m - a_1 are never listed.
                 counters.pruned_by_symmetry += (m - 2) - sym_cap
             # The prefix node's live candidates from v on; the shard places only v.
-            least = need(k, covered)
+            least = 6 + 2 * k - slack(k, covered)
             uncovered = full ^ covered
             live = []
             for w in range(v, sym_cap + 1):
@@ -257,16 +304,9 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     return counters, solutions, exhausted
 
 
-def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
-    """Enumerate canonical offset tuples with full coverage for ``task``.
-
-    Returns the canonical, sorted, duplicate-free solution list together
-    with work counters. ``exhausted`` is True only when the task's whole
-    candidate space was visited. A pool started for ``workers > 1`` is shut
-    down before the call returns.
-    """
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
+def _plan(task: SearchTask) -> tuple[list[tuple[SearchTask, int | None, int | None]], int]:
+    """The task's shard jobs in shard order, and how many shard values lie
+    beyond ``m - a_1`` and so are counted here instead of run."""
     if len(task.prefix) == task.d - 3:
         shard_values: list[int | None] = [None]
     else:
@@ -277,19 +317,56 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
     else:
         share, extra = divmod(task.node_budget, max(1, len(shard_values)))
         budgets = [share + (i < extra) for i in range(len(shard_values))]
-    jobs = [(task, v, budget) for v, budget in zip(shard_values, budgets)]
-    if workers == 1 or len(jobs) <= 1:
-        return _merge(task, map(_run_shard, jobs))
-    pool = ProcessPoolExecutor(max_workers=workers)
+    jobs = []
+    for v, budget in zip(shard_values, budgets):
+        a1 = task.prefix[0] if task.prefix else v
+        if v is None or v <= task.m - a1:
+            jobs.append((task, v, budget))
+    return jobs, len(shard_values) - len(jobs)
+
+
+def _reports(tasks: list[SearchTask], workers: int) -> Iterator[SearchReport]:
+    """Each task's merged report, in task order.
+
+    With ``workers > 1`` one pool serves every task, and every task's
+    shards are queued at once, in order. Close the generator once
+    done reading (``contextlib.closing``): closing raises the stop flag,
+    cancels what is still queued and waits for the workers to exit.
+    """
+    if workers < 1:
+        raise ValueError("worker count must be at least 1")
+    plans = [_plan(task) for task in tasks]
+    if workers == 1 or sum(len(jobs) for jobs, _ in plans) <= 1:
+        for task, (jobs, dead) in zip(tasks, plans):
+            yield _merge(task, map(_run_shard, jobs), dead)
+        return
+    stop = multiprocessing.Event()
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
     try:
-        futures = [pool.submit(_run_shard, job) for job in jobs]
-        return _merge(task, (future.result() for future in futures))
+        queued = [[pool.submit(_run_shard, job) for job in jobs] for jobs, _ in plans]
+        for task, (_, dead), futures in zip(tasks, plans, queued):
+            yield _merge(task, (future.result() for future in futures), dead)
     finally:
+        stop.set()
         pool.shutdown(cancel_futures=True)
 
 
-def _merge(task: SearchTask, results) -> SearchReport:
-    """Fold shard results in order; find-first stops after the first shard with a solution."""
+def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
+    """Enumerate canonical offset tuples with full coverage for ``task``.
+
+    Returns the canonical, sorted, duplicate-free solution list together
+    with work counters. ``exhausted`` is True only when the task's whole
+    candidate space was visited. A pool started for ``workers > 1`` is shut
+    down before the call returns.
+    """
+    with closing(_reports([task], workers)) as reports:
+        return next(reports)
+
+
+def _merge(task: SearchTask, results, dead: int) -> SearchReport:
+    """Fold shard results in order; find-first stops after the first shard
+    with a solution. The ``dead`` shards come last and are counted only when
+    every shard before them was read."""
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     exhausted = True
@@ -299,6 +376,8 @@ def _merge(task: SearchTask, results) -> SearchReport:
         exhausted = exhausted and shard_exhausted
         if task.mode == "find-first" and solutions:
             break
+    else:
+        counters.pruned_by_symmetry += dead
     return SearchReport(task=task, solutions=tuple(solutions), counters=counters, exhausted=exhausted)
 
 
@@ -343,9 +422,9 @@ def max_m(
 ) -> MaxMResult:
     """Largest modulus in ``[m_low, m_high]`` admitting a full-coverage tuple.
 
-    Scans downward with a find-first search per modulus and stops at the
-    first hit. Moduli below the degree cannot host enough distinct offsets
-    and are skipped. If a budget runs out before a modulus is settled the
+    Scans downward with a find-first search per modulus, all run through
+    one pool when ``workers > 1``, and stops at the first hit. Moduli below
+    the degree cannot host enough distinct offsets and are skipped. If a budget runs out before a modulus is settled the
     scan stops and the result is marked inconclusive.
     """
     cap = max_m_upper_bound(d)
@@ -356,18 +435,21 @@ def max_m(
     best_m: int | None = None
     witnesses: tuple[PhiSpec, ...] = ()
     conclusive = True
-    effective_low = max(m_low, d)
-    for m in range(m_high, effective_low - 1, -1):
-        task = SearchTask(d=d, m=m, mode="find-first", node_budget=node_budget)
-        report = search_offsets(task, workers=workers)
-        reports[m] = report
-        if report.solutions:
-            best_m, witnesses = m, report.solutions
-            break
-        if report.counters.budget_stops:
-            conclusive = False
-            break
-        verified_down_to = m
+    tasks = [
+        SearchTask(d=d, m=m, mode="find-first", node_budget=node_budget)
+        for m in range(m_high, max(m_low, d) - 1, -1)
+    ]
+    with closing(_reports(tasks, workers)) as scan:
+        for report in scan:
+            m = report.task.m
+            reports[m] = report
+            if report.solutions:
+                best_m, witnesses = m, report.solutions
+                break
+            if report.counters.budget_stops:
+                conclusive = False
+                break
+            verified_down_to = m
     return MaxMResult(
         d=d,
         m_low=m_low,

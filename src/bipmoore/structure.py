@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Container, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .bounds import moore_bound
@@ -762,6 +762,43 @@ def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
         flip = {LEFT: RIGHT, RIGHT: LEFT}
         return {v: (flip[w[0]], w[1]) for v, w in swapped.items()}
     return None
+
+
+@dataclass(frozen=True)
+class IsoCheck:
+    """The isomorphism verdict on two graphs, with the witness bijection
+    ``find_isomorphism`` found, if any."""
+
+    mapping: dict[Vertex, Vertex] | None = field(hash=False)
+
+    @property
+    def isomorphic(self) -> bool:
+        return self.mapping is not None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "isomorphic": self.isomorphic,
+            "mapping": {vertex_name(v): vertex_name(w) for v, w in self.mapping.items()}
+            if self.mapping
+            else None,
+        }
+
+    def to_text(self) -> str:
+        return "isomorphic" if self.isomorphic else "not isomorphic"
+
+    def failures(self, isomorphic: bool = False, non_isomorphic: bool = False) -> list[str]:
+        """One message per expectation given that the verdict contradicts."""
+        out = []
+        if isomorphic and not self.isomorphic:
+            out.append("expected isomorphic")
+        if non_isomorphic and self.isomorphic:
+            out.append("expected non-isomorphic")
+        return out
+
+
+def check_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> IsoCheck:
+    """Decide isomorphism the way the ``iso`` command reports it."""
+    return IsoCheck(find_isomorphism(g1, g2))
 
 
 def verify_isomorphism(

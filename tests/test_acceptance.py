@@ -13,11 +13,13 @@ asserts that finding, certified both by validated bijections from
 
 from __future__ import annotations
 
+import os
 import random
 import subprocess
 import sys
 import time
 from math import gcd
+from pathlib import Path
 
 from bipmoore.bounds import moore_bound
 from bipmoore.caseanalysis import contraction_feasibility, nonexistence_case_audit
@@ -267,6 +269,9 @@ def test_criterion_9_structural_invariants_suite():
 
 
 def test_criterion_10_worker_determinism():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     outputs = []
     for workers in ("1", "2", "8"):
         proc = subprocess.run(
@@ -283,6 +288,7 @@ def test_criterion_10_worker_determinism():
                 "--workers",
                 workers,
             ],
+            env=env,
             capture_output=True,
             check=True,
         )

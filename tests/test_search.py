@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 import pytest
 
+from bipmoore import search
 from bipmoore.circulant import PhiSpec, diameter_at_most_3, format_spec, two_step_residues
 from bipmoore.search import SearchTask, max_m, search_offsets
 from oracles import bound_only_search_oracle, naive_coverage_solutions
@@ -56,14 +60,15 @@ def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
         (8, 55, 0, 1402, 1088, 351),
         (9, 71, 0, 9443, 7132, 595),
         (5, 17, 4, 10, 3, 28),
-        (6, 25, 14, 103, 67, 66),
-        (8, 45, 210, 31200, 26564, 232),
+        (6, 25, 14, 102, 67, 66),
+        (8, 45, 210, 26409, 23106, 232),
         (10, 89, 0, 65326, 50774, 946),
     ],
 )
 def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     """Exact work counts of the forward-checking engine: it is deterministic,
-    so any change in pruning or enumeration order shows here."""
+    so any change in pruning or enumeration order shows here. The sum-of-gains
+    test has no slack to act on at the cap, so only the off-cap rows felt it."""
     report = search_offsets(SearchTask(d=d, m=m))
     c = report.counters
     assert (c.solutions_found, c.nodes_visited, c.pruned_by_bound, c.pruned_by_symmetry) == (
@@ -80,11 +85,11 @@ def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
 @pytest.mark.parametrize(
     "d, m",
     [(d, m) for d in range(4, 8) for m in range(max(5, d), d * d - d)]
-    + [(8, 45), (8, 51), (8, 55), (9, 71)],
+    + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 55), (9, 71)],
 )
 def test_engine_matches_bound_only_oracle(d, m):
-    """Dropping candidates by slack never loses a solution the bound-only
-    walk finds, nor adds one."""
+    """Dropping candidates by slack and nodes by the sum of gains never
+    loses a solution the bound-only walk finds, nor adds one."""
     found, _ = bound_only_search_oracle(d, m)
     report = search_offsets(SearchTask(d=d, m=m))
     assert [s.offsets for s in report.solutions] == found
@@ -207,6 +212,66 @@ def test_find_first_budget_worker_determinism():
     assert search_offsets(task, workers=2).to_json_dict() == report.to_json_dict()
 
 
+def test_find_first_worker_determinism_degree9():
+    """Find-first at d=9, m=65 cuts the pool off at the deciding shard; the
+    report is the serial one."""
+    task = SearchTask(d=9, m=65, mode="find-first")
+    report = search_offsets(task)
+    assert [format_spec(s) for s in report.solutions] == ["phi 65: 5,9,27,34,50,53"]
+    assert search_offsets(task, workers=2).to_json_dict() == report.to_json_dict()
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_shards_counted_not_run():
+    """Shard values beyond m - a_1 are symmetry prunes counted by the planner;
+    the budget is still split over every shard value."""
+    jobs, dead = search._plan(SearchTask(d=9, m=71, node_budget=100))
+    assert [v for _, v, _ in jobs] == list(range(2, 36))
+    assert dead == 34
+    assert [budget for _, _, budget in jobs] == [2] * 32 + [1] * 2
+    jobs, dead = search._plan(SearchTask(d=9, m=71, prefix=(30,)))
+    assert [v for _, v, _ in jobs] == list(range(31, 42))
+    assert dead == 69 - 41
+
+
+class _FlagRaisedOnRead:
+    """A stop flag that reads raised from its ``raise_on``-th read on."""
+
+    def __init__(self, raise_on: int) -> None:
+        self.reads, self.raise_on = 0, raise_on
+
+    def is_set(self) -> bool:
+        self.reads += 1
+        return self.reads >= self.raise_on
+
+
+def test_stop_flag_read_every_64_placements(monkeypatch):
+    """A shard reads the pool's stop flag before its first placement and
+    after every 64th, and gives up, unexhausted, once it reads it raised."""
+    monkeypatch.setattr(search, "_stop_flag", None)
+    job = (SearchTask(d=9, m=71), 4, None)  # 1460 nodes when left to run
+    raised = threading.Event()
+    raised.set()
+    search._set_stop_flag(raised)
+    counters, _, exhausted = search._run_shard(job)
+    assert (counters.nodes_visited, exhausted) == (0, False)
+    search._set_stop_flag(_FlagRaisedOnRead(3))
+    counters, _, exhausted = search._run_shard(job)
+    assert (counters.nodes_visited, exhausted) == (128, False)
+    assert counters.budget_stops == 0
+    search._set_stop_flag(threading.Event())
+    counters, _, exhausted = search._run_shard(job)
+    assert (counters.nodes_visited, exhausted) == (1460, True)
+
+
+def test_tables_built_once_per_modulus():
+    search._tables.cache_clear()
+    search_offsets(SearchTask(d=8, m=45))
+    assert search._tables.cache_info().misses == 1
+    max_m(8, 52, 53)
+    assert search._tables.cache_info().misses == 3
+
+
 def test_budget_interrupts():
     """The shard budgets sum to the task's budget, so no search overshoots it."""
     for d, m, budget in ((7, 41, 50), (9, 71, 10)):
@@ -303,6 +368,39 @@ def test_max_m_budget_inconclusive():
     result = max_m(7, 41, 41, node_budget=1)
     assert result.best_m is None
     assert not result.conclusive
+
+
+@pytest.mark.parametrize(
+    "d, low, high, budget",
+    [(9, 60, 71, None), (8, 40, 55, None), (7, 30, 41, None), (9, 60, 71, 2000), (8, 40, 55, 500)],
+)
+def test_max_m_worker_determinism(d, low, high, budget, monkeypatch):
+    """One pool per scan, whatever the worker count: the payload and every
+    modulus's counters match the serial scan, the pool's workers are gone
+    when the call returns and the stop flag is raised by then."""
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+
+    def outcome(workers):
+        result = max_m(d, low, high, node_budget=budget, workers=workers)
+        per_m = {m: report.counters.to_dict() for m, report in result.reports.items()}
+        return json.dumps(result.to_json_dict()), per_m
+
+    serial = outcome(1)
+    assert pools == []
+    for workers in (2, 3):
+        assert outcome(workers) == serial
+        assert len(pools) == 1
+        assert pools.pop()["initargs"][0].is_set()
+        assert multiprocessing.active_children() == []
+    if (d, budget) == (9, None):
+        assert len(json.loads(serial[0])["perM"]) == 7
 
 
 def test_max_m_validation():

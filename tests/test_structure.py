@@ -11,6 +11,7 @@ from bipmoore.circulant import PhiSpec, build_phi, build_phi_spec, build_theta, 
 from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph
 from bipmoore.structure import (
     BudgetError,
+    check_isomorphism,
     check_observations,
     classify_and_decompose,
     _pair_invariant,
@@ -439,6 +440,22 @@ def test_negation_pair_isomorphic_with_witness():
     mapping = find_isomorphism(g1, g2)
     assert mapping is not None
     assert verify_isomorphism(g1, g2, mapping)
+
+
+def test_iso_check_payload_and_expectations():
+    g1 = build_phi_spec(PhiSpec(11, (4,)))
+    result = check_isomorphism(g1, build_phi_spec(PhiSpec(11, (7,))))
+    assert result.isomorphic and result.to_text() == "isomorphic"
+    payload = result.to_json_dict()
+    assert payload["isomorphic"] is True
+    assert payload["mapping"] == {f"{v[0]}{v[1]}": f"{w[0]}{w[1]}" for v, w in result.mapping.items()}
+    assert len(payload["mapping"]) == 22
+    assert result.failures(isomorphic=True) == []
+    assert result.failures(non_isomorphic=True) == ["expected non-isomorphic"]
+    other = check_isomorphism(g1, build_phi_spec(PhiSpec(19, (5, 8))))
+    assert other.to_json_dict() == {"isomorphic": False, "mapping": None}
+    assert other.to_text() == "not isomorphic"
+    assert other.failures(isomorphic=True, non_isomorphic=True) == ["expected isomorphic"]
 
 
 def test_different_shapes_not_isomorphic():
