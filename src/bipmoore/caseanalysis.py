@@ -10,7 +10,9 @@ reports the conjunction.
 Two-step reach limits used by the mixed cases are imported as named
 constants (they summarize saturation arguments about hypothetical graphs,
 not computations this artifact can rerun); all divisibility, enumeration and
-composition steps are computed live.
+composition steps are computed live. Each audit entry says which: its
+provenance is ``imported`` when its verdict rests on those reach constants
+or on the known degree-7 facts, and ``computed`` otherwise.
 """
 
 from __future__ import annotations
@@ -148,9 +150,16 @@ class AuditEntry:
     claim: str
     values: dict
     status: str  # "pass" | "fail" | "out-of-scope"
+    provenance: str  # "computed" | "imported": whether the verdict rests on imported constants
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "claim": self.claim, "values": self.values, "status": self.status}
+        return {
+            "name": self.name,
+            "claim": self.claim,
+            "values": self.values,
+            "provenance": self.provenance,
+            "status": self.status,
+        }
 
 
 @dataclass
@@ -182,7 +191,7 @@ class AuditReport:
             f"  Moore bound: {self.moore_bound}   target order: {self.order}",
         ]
         for e in self.entries:
-            lines.append(f"  [{e.status.upper():12s}] {e.name}: {e.claim}")
+            lines.append(f"  [{e.status.upper():12s}] {e.name} ({e.provenance}): {e.claim}")
             if e.values:
                 parts = ", ".join(f"{k}={v}" for k, v in e.values.items())
                 lines.append(f"     {parts}")
@@ -231,6 +240,7 @@ def nonexistence_case_audit(
             f" so {THETA_ORDER} must divide {order}",
             values={"order": order, "remainder": order % THETA_ORDER},
             status=_status(order % THETA_ORDER != 0),
+            provenance="computed",
         )
     )
 
@@ -250,6 +260,7 @@ def nonexistence_case_audit(
                 "nodesVisited": single.counters.nodes_visited,
             },
             status=_status(single.exhausted and not single.solutions),
+            provenance="computed",
         )
     )
 
@@ -274,6 +285,7 @@ def nonexistence_case_audit(
                 "feasibleExamples": [list(p) for p in survey.feasible[:5]],
             },
             status=_status(not survey.feasible),
+            provenance="computed",
         )
     )
 
@@ -285,6 +297,7 @@ def nonexistence_case_audit(
             f" so {GAMMA0_BLOCK} must divide {order}",
             values={"order": order, "remainder": order % GAMMA0_BLOCK},
             status=_status(order % GAMMA0_BLOCK != 0),
+            provenance="computed",
         )
     )
 
@@ -303,6 +316,7 @@ def nonexistence_case_audit(
                     "order": order,
                 },
                 status=_status(max_gamma1 + max_gamma2 < order),
+                provenance="imported",
             )
         )
 
@@ -314,6 +328,7 @@ def nonexistence_case_audit(
                 claim="next to a 2-path union the 0-path union is capped below its minimum size",
                 values={"maxGamma0": max_gamma0, "minGamma0": min_gamma0},
                 status=_status(max_gamma0 < min_gamma0),
+                provenance="imported",
             )
         )
 
@@ -340,6 +355,7 @@ def nonexistence_case_audit(
                     "orderMod4": order % 4,
                 },
                 status=_status(not odd_divisors and order % 4 != 0),
+                provenance="computed",
             )
         )
 
@@ -392,6 +408,7 @@ def nonexistence_case_audit(
                 " two-step reach limits",
                 values=values,
                 status=_status(ok),
+                provenance="imported",
             )
         )
 
@@ -410,6 +427,7 @@ def nonexistence_case_audit(
                     "knownGraphOrder": DEGREE7_KNOWN_ORDER,
                 },
                 status=_status(implied == DEGREE7_KNOWN_ORDER),
+                provenance="imported",
             )
         )
         implied_optimal = implied if implied == DEGREE7_KNOWN_ORDER else None
@@ -427,6 +445,7 @@ def nonexistence_case_audit(
                     claim="two-step reach constants are specific to degree 7",
                     values={},
                     status="out-of-scope",
+                    provenance="computed",
                 )
             )
         implied_optimal = None

@@ -2,16 +2,27 @@
 
 Everything here deliberately avoids the library's bitset internals: plain
 dictionaries, deques and quadruple loops only, so agreement is meaningful.
-The one exception is ``bound_only_search_oracle``, the search engine's
-previous algorithm, which keeps its own residue masks as plain integers.
+The two exceptions are earlier algorithms kept as references for their
+replacements: ``bound_only_search_oracle``, the search engine's walk before
+forward checking, which keeps its own residue masks as plain integers, and
+``decomposition_oracle``, the structure layer's walk over 4-cycle objects,
+which reads common-neighbour counts from the graph's bitset rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
-from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex
+from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
+from bipmoore.structure import (
+    Decomposition,
+    FourCycle,
+    Gamma0Part,
+    PhiComponent,
+    ShortCycleSet,
+    ThetaComponent,
+)
 
 INFINITE = float("inf")
 
@@ -116,6 +127,183 @@ def pairwise_labels_oracle(g: BipartiteGraph) -> dict[tuple[tuple[int, int], tup
         )
         labels[(left, right)] = ("s0", "s1", "s2")[longest]
     return labels
+
+
+def _cycle_edges(c: FourCycle) -> frozenset[tuple[int, int]]:
+    return frozenset((i, j) for i in c.left for j in c.right)
+
+
+def _short_cycles_walk(g: BipartiteGraph) -> ShortCycleSet:
+    cycles = [
+        FourCycle(left, right)
+        for left in combinations(range(g.n_left), 2)
+        for right in combinations(bits(g.left_rows[left[0]] & g.left_rows[left[1]]), 2)
+    ]
+    counts = Counter(v for c in cycles for v in c.vertices)
+    return ShortCycleSet(cycles=tuple(cycles), per_vertex_count=dict(counts))
+
+
+def _components_walk(groups) -> list[frozenset[Vertex]]:
+    parent: dict[Vertex, Vertex] = {}
+
+    def root(v: Vertex) -> Vertex:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for first, *rest in groups:
+        r = root(first)
+        for v in rest:
+            parent[root(v)] = r
+    members: dict[Vertex, set[Vertex]] = {}
+    for v in parent:
+        members.setdefault(root(v), set()).add(v)
+    return sorted((frozenset(comp) for comp in members.values()), key=min)
+
+
+def _subgraph_components(cycles, indices):
+    parts = _components_walk(cycles[k].vertices for k in indices)
+    part_of = {v: idx for idx, part in enumerate(parts) for v in part}
+    members: list[list[int]] = [[] for _ in parts]
+    for k in indices:
+        members[part_of[cycles[k].vertices[0]]].append(k)
+    return [
+        (part, frozenset(e for k in ks for e in _cycle_edges(cycles[k])), tuple(ks))
+        for part, ks in zip(parts, members)
+    ]
+
+
+def _recognize_theta_walk(vertices, edges, n_cycles):
+    degree: Counter[Vertex] = Counter()
+    for i, j in edges:
+        degree[(LEFT, i)] += 1
+        degree[(RIGHT, j)] += 1
+    branch = frozenset(v for v, d in degree.items() if d >= 3)
+    ok = (
+        len(vertices) == 5
+        and n_cycles == 3
+        and sorted(degree[v] for v in vertices) == [2, 2, 2, 3, 3]
+    )
+    return ok, branch
+
+
+def recognize_phi_oracle(vertices, edges, comp_cycles):
+    """Circulant recognition of a 1-path component by comparing the edge
+    sets of every pair of its cycles."""
+    m = len(comp_cycles)
+    if m < 5 or len(vertices) != 2 * m or len(edges) != 3 * m:
+        return False, None, (), ()
+    on_count: Counter[Vertex] = Counter()
+    for c in comp_cycles:
+        for v in c.vertices:
+            on_count[v] += 1
+    if any(on_count[v] != 2 for v in vertices):
+        return False, None, (), ()
+    neighbors: dict[int, list[tuple[int, tuple[int, int]]]] = {k: [] for k in range(m)}
+    for k1 in range(m):
+        for k2 in range(k1 + 1, m):
+            shared = _cycle_edges(comp_cycles[k1]) & _cycle_edges(comp_cycles[k2])
+            if len(shared) == 1:
+                (edge,) = shared
+                neighbors[k1].append((k2, edge))
+                neighbors[k2].append((k1, edge))
+    if any(len(neighbors[k]) != 2 for k in range(m)):
+        return False, None, (), ()
+    order = [0]
+    prev = -1
+    cur = 0
+    shared_edges: list[tuple[int, int]] = []
+    for _ in range(m):
+        (na, ea), (nb, eb) = sorted(neighbors[cur])
+        if na == prev:
+            nxt, edge = nb, eb
+        elif nb == prev:
+            nxt, edge = na, ea
+        else:
+            nxt, edge = na, ea
+        shared_edges.append(edge)
+        order.append(nxt)
+        prev, cur = cur, nxt
+    if order[-1] != 0 or len(set(order[:-1])) != m:
+        return False, None, (), ()
+    xs = [(LEFT, e[0]) for e in shared_edges]
+    ys = [(RIGHT, e[1]) for e in shared_edges]
+    if len(set(xs)) != m or len(set(ys)) != m:
+        return False, None, (), ()
+    expected: set[tuple[int, int]] = set()
+    for i in range(m):
+        nxt = (i + 1) % m
+        expected.add((xs[i][1], ys[i][1]))
+        expected.add((xs[i][1], ys[nxt][1]))
+        expected.add((xs[nxt][1], ys[i][1]))
+    if expected != set(edges):
+        return False, None, (), ()
+    return True, m, tuple(xs), tuple(ys)
+
+
+def decomposition_oracle(g: BipartiteGraph) -> Decomposition:
+    """``classify_and_decompose`` as a walk over 4-cycle objects.
+
+    Every cycle is built and labelled on its own from its pairs' common
+    counts and from a per-edge cycle counter; each labelled union is split
+    by a union-find over vertex tuples, and every component's edges are
+    gathered cycle by cycle. Circulant components are recognized by the
+    pairwise cycle comparison of ``recognize_phi_oracle``.
+    """
+    cycle_set = _short_cycles_walk(g)
+    cycles = cycle_set.cycles
+    cycles_on_edge = Counter(e for c in cycles for e in _cycle_edges(c))
+
+    def label(c: FourCycle) -> str:
+        (i1, i2), (j1, j2) = c.left, c.right
+        left_common = (g.left_rows[i1] & g.left_rows[i2]).bit_count()
+        right_common = (g.right_rows[j1] & g.right_rows[j2]).bit_count()
+        if max(left_common, right_common) > 2:
+            return "s2"
+        return "s1" if any(cycles_on_edge[e] > 1 for e in _cycle_edges(c)) else "s0"
+
+    labels = tuple(label(c) for c in cycles)
+    s2, s1, s0 = (
+        tuple(k for k, lab in enumerate(labels) if lab == want) for want in ("s2", "s1", "s0")
+    )
+    gamma2 = tuple(
+        ThetaComponent(
+            vertices, edges, indices, *_recognize_theta_walk(vertices, edges, len(indices))
+        )
+        for vertices, edges, indices in _subgraph_components(cycles, s2)
+    )
+    gamma1 = tuple(
+        PhiComponent(
+            vertices,
+            edges,
+            indices,
+            *recognize_phi_oracle(vertices, edges, [cycles[k] for k in indices]),
+        )
+        for vertices, edges, indices in _subgraph_components(cycles, s1)
+    )
+    gamma0 = tuple(Gamma0Part(*part) for part in _subgraph_components(cycles, s0))
+
+    v2, v1, v0 = (frozenset(v for k in ks for v in cycles[k].vertices) for ks in (s2, s1, s0))
+    on_cycles = v2 | v1 | v0
+    residue = frozenset(v for v in g.vertices() if v not in on_cycles)
+    disjoint = not (v2 & v1 or v2 & v0 or v1 & v0)
+    return Decomposition(
+        cycles=cycle_set,
+        labels=labels,
+        s2=s2,
+        s1=s1,
+        s0=s0,
+        v2=v2,
+        v1=v1,
+        v0=v0,
+        gamma2=gamma2,
+        gamma1=gamma1,
+        gamma0=gamma0,
+        residue=residue,
+        disjoint=disjoint,
+    )
 
 
 def pair_invariant_oracle(g: BipartiteGraph) -> tuple:

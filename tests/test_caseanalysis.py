@@ -146,3 +146,37 @@ def test_audit_serialization():
     assert len(payload["entries"]) == 9
     text = report.to_text()
     assert "86" in text and "82" in text and "80" in text
+
+
+def test_audit_provenance():
+    """Entries whose verdict rests on the two-step reach constants or on the
+    known degree-7 facts are imported; every other entry is computed, the
+    out-of-scope ones too, since they read no constant."""
+    imported = {"gamma2_gamma1_span", "gamma2_gamma0_span", "gamma2_gamma1_gamma0_span", "optimality"}
+    report7 = nonexistence_case_audit(7)
+    assert {e.name: e.provenance for e in report7.entries} == {
+        "gamma2_spanning": "computed",
+        "gamma1_spanning_single": "computed",
+        "gamma1_spanning_multi": "computed",
+        "gamma0_spanning": "computed",
+        "gamma2_gamma1_span": "imported",
+        "gamma2_gamma0_span": "imported",
+        "gamma1_gamma0_span": "computed",
+        "gamma2_gamma1_gamma0_span": "imported",
+        "optimality": "imported",
+    }
+    assert {e["name"] for e in report7.to_dict()["entries"] if e["provenance"] == "imported"} == imported
+    assert "  [PASS        ] optimality (imported): " in report7.to_text()
+    assert "  [PASS        ] gamma2_spanning (computed): " in report7.to_text()
+    report6 = nonexistence_case_audit(6)
+    assert [(e.name, e.status, e.provenance) for e in report6.entries] == [
+        ("gamma2_spanning", "pass", "computed"),
+        ("gamma1_spanning_single", "pass", "computed"),
+        ("gamma1_spanning_multi", "pass", "computed"),
+        ("gamma0_spanning", "pass", "computed"),
+        ("gamma2_gamma1_span", "out-of-scope", "computed"),
+        ("gamma2_gamma0_span", "out-of-scope", "computed"),
+        ("gamma1_gamma0_span", "out-of-scope", "computed"),
+        ("gamma2_gamma1_gamma0_span", "out-of-scope", "computed"),
+        ("optimality", "out-of-scope", "computed"),
+    ]

@@ -1,5 +1,6 @@
 """Property tests on generated inputs: the all-sources diameter against
-breadth-first search, and residue coverage against the diameter.
+breadth-first search, residue coverage against the diameter, and the
+pair-keyed decomposition against the cycle walk it replaced.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from bipmoore.circulant import PhiSpec, build_phi_spec, diameter_at_most_3
 from bipmoore.graphs import BipartiteGraph, diameter
-from oracles import diameter_oracle
+from bipmoore.structure import check_observations, classify_and_decompose
+from oracles import decomposition_oracle, diameter_oracle
 
 FIXED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -42,3 +44,13 @@ def test_diameter_matches_bfs_oracle(g):
 @given(phi_specs())
 def test_coverage_matches_diameter(spec):
     assert diameter_at_most_3(spec) == (diameter(build_phi_spec(spec)) <= 3)
+
+
+@FIXED
+@given(bipartite_graphs())
+def test_decomposition_matches_oracle(g):
+    dec = classify_and_decompose(g)
+    want = decomposition_oracle(g)
+    assert dec == want
+    assert list(dec.cycles.per_vertex_count.items()) == list(want.cycles.per_vertex_count.items())
+    assert check_observations(g, dec, 4).to_dict() == check_observations(g, want, 4).to_dict()

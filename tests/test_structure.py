@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from bipmoore.bounds import moore_bound
 from bipmoore.circulant import PhiSpec, build_phi, build_phi_spec, build_theta, parse_spec
 from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph
 from bipmoore.structure import (
@@ -15,18 +16,21 @@ from bipmoore.structure import (
     check_observations,
     classify_and_decompose,
     _pair_invariant,
+    _recognize_phi,
     find_isomorphism,
     repeat_structure,
     short_cycles,
     verify_isomorphism,
 )
-from bipmoore.witnesses import KNOWN_DEGREE11_SPECS
+from bipmoore.witnesses import DEGREE4_WITNESS, DEGREE5_WITNESS, KNOWN_DEGREE11_SPECS
 from oracles import (
     components_oracle,
+    decomposition_oracle,
     four_cycles_oracle,
     pair_invariant_oracle,
     pairwise_labels_oracle,
     random_bipartite,
+    recognize_phi_oracle,
 )
 
 
@@ -268,6 +272,154 @@ def test_interlocked_cycles_unrecognized_theta():
     assert len(dec.s2) == 9
     assert len(dec.gamma2) == 1
     assert not dec.gamma2[0].recognized
+
+
+def defect4_half(d: int) -> int:
+    """Vertices per side at the degree-``d`` defect-4 order."""
+    return (moore_bound(d, 3) - 4) // 2
+
+
+def planted_blocks(rng: random.Random, d: int) -> BipartiteGraph:
+    """Theta, ring (an 8- to 12-cycle), square and circulant blocks planted
+    on disjoint random vertices at the degree-``d`` defect-4 order, each
+    block in a random side orientation, joined by a few random cross edges."""
+    half = defect4_half(d)
+    left, right = rng.sample(range(half), half), rng.sample(range(half), half)
+    edges: set[tuple[int, int]] = set()
+    used_left = used_right = 0
+    while True:
+        kind = rng.choice(("theta", "ring", "square", "phi"))
+        if kind == "theta":
+            sides, block = (2, 3), [(b, m) for b in (0, 1) for m in (0, 1, 2)]
+        elif kind == "ring":
+            k = rng.randint(4, 6)
+            sides, block = (k, k), [(i, (i + s) % k) for i in range(k) for s in (0, 1)]
+        elif kind == "square":
+            sides, block = (2, 2), [(i, j) for i in (0, 1) for j in (0, 1)]
+        else:
+            m = rng.randint(5, 9)
+            spec = PhiSpec(m, (rng.randint(2, m - 2),) if rng.random() < 0.3 else ())
+            g = build_phi_spec(spec)
+            sides, block = (m, m), [(i, j) for i in range(m) for j in g.left_neighbors(i)]
+        if rng.random() < 0.5:
+            sides, block = sides[::-1], [(j, i) for i, j in block]
+        if used_left + sides[0] > half or used_right + sides[1] > half:
+            break
+        edges.update((left[used_left + i], right[used_right + j]) for i, j in block)
+        used_left += sides[0]
+        used_right += sides[1]
+    for _ in range(rng.randint(0, 6)):
+        edges.add((rng.randrange(half), rng.randrange(half)))
+    return BipartiteGraph.from_edges(half, half, edges)
+
+
+def one_offset_perturbation(rng: random.Random, spec_text: str) -> BipartiteGraph:
+    spec = parse_spec(spec_text)
+    offsets = list(spec.offsets)
+    pos = rng.randrange(len(offsets))
+    offsets[pos] = rng.choice([a for a in range(2, spec.m - 1) if a not in offsets])
+    return build_phi_spec(PhiSpec(spec.m, tuple(sorted(offsets))))
+
+
+def decomposition_corpus() -> list[tuple[BipartiteGraph, int]]:
+    """Seeded graphs, each with the degree its observations are checked at."""
+    rng = random.Random(20261018)
+    corpus: list[tuple[BipartiteGraph, int]] = []
+    for _ in range(60):
+        n_left, n_right = rng.sample(range(0, 13), 2)
+        corpus.append((random_bipartite(rng, n_left, n_right, rng.choice((0.2, 0.4, 0.6))), 4))
+    for d in (4, 5):
+        # disconnected: two random blocks side by side, at the defect-4 order
+        half = defect4_half(d)
+        cut_left, cut_right = rng.randint(3, half - 3), rng.randint(3, half - 3)
+        one = random_bipartite(rng, cut_left, cut_right, 0.4)
+        two = random_bipartite(rng, half - cut_left, half - cut_right, 0.4)
+        lists = [one.left_neighbors(i) for i in range(one.n_left)]
+        lists += [[cut_right + j for j in two.left_neighbors(i)] for i in range(two.n_left)]
+        corpus.append((BipartiteGraph.from_neighbor_lists(lists, half), d))
+        corpus.append((random_bipartite(rng, half, half, 0.15), d))
+    corpus += [
+        (BipartiteGraph.from_neighbor_lists([], 0), 4),
+        (BipartiteGraph.from_neighbor_lists([], 5), 4),
+        (BipartiteGraph.from_neighbor_lists([[]] * 11, 11), 4),
+    ]
+    for d in (4, 5, 6, 7):
+        corpus += [(planted_blocks(rng, d), d) for _ in range(6)]
+    records = list(KNOWN_DEGREE11_SPECS)
+    corpus += [(build_phi_spec(parse_spec(text)), 11) for text in records]
+    corpus += [(one_offset_perturbation(rng, text), 11) for text in records]
+    corpus.append((build_phi_spec(parse_spec("phi 95: 4,16,27,38,52,62,79,81")), 11))
+    corpus += [(build_phi_spec(parse_spec(DEGREE4_WITNESS)), 4)]
+    corpus += [(build_phi_spec(parse_spec(DEGREE5_WITNESS)), 5)]
+    return corpus
+
+
+def test_decomposition_matches_oracle():
+    """The pair-keyed decomposition equals the cycle walk it replaced: the
+    same ``Decomposition``, per-vertex counts keyed in the same order, and
+    the same observation report."""
+    kinds: Counter[str] = Counter()
+    cycle_counts = []
+    for g, d in decomposition_corpus():
+        dec = classify_and_decompose(g)
+        want = decomposition_oracle(g)
+        assert dec == want
+        assert list(dec.cycles.per_vertex_count.items()) == list(want.cycles.per_vertex_count.items())
+        report = check_observations(g, dec, d)
+        assert report.to_dict() == check_observations(g, want, d).to_dict()
+        kinds.update(dec.labels)
+        kinds.update(
+            "recognized" if comp.recognized else "unrecognized" for comp in dec.gamma2 + dec.gamma1
+        )
+        kinds.update(entry.status for entry in report.entries)
+        if d == 11:
+            cycle_counts.append(len(dec.cycles.cycles))
+    # the corpus reaches every label, both recognition outcomes and every
+    # observation outcome, and the degree-11 graphs span 760 to 1,805 cycles
+    wanted = ("s2", "s1", "s0", "recognized", "unrecognized", "pass", "fail", "not-applicable")
+    assert min(kinds[k] for k in wanted) > 0
+    assert min(cycle_counts) == 760 and max(cycle_counts) == 1805
+
+
+def moved_edge_rings() -> list[BipartiteGraph]:
+    """Circulants on 5 to 20 with one edge moved to a random free slot."""
+    rng = random.Random(515)
+    out = []
+    for m in range(5, 21):
+        g = build_phi(m)
+        edges = [(i, j) for i in range(m) for j in g.left_neighbors(i)]
+        edges.remove(rng.choice(edges))
+        free = [(i, j) for i in range(m) for j in range(m) if not g.has_edge(i, j)]
+        edges.append(rng.choice(free))
+        out.append(BipartiteGraph.from_edges(m, m, edges))
+    return out
+
+
+def test_recognize_phi_matches_pairwise_oracle():
+    """Circulant recognition through the edge-to-cycles index agrees with the
+    pairwise cycle comparison on every 1-path component, and on the whole
+    cycle set taken as one component."""
+    graphs = [build_phi(m) for m in range(5, 61)] + moved_edge_rings()
+    recognized = 0
+    for g in graphs:
+        dec = classify_and_decompose(g)
+        cycles = dec.cycles.cycles
+        candidates = [
+            (comp.vertices, comp.edges, [cycles[k] for k in comp.cycle_indices])
+            for comp in dec.gamma1
+        ]
+        candidates.append(
+            (
+                frozenset(dec.cycles.per_vertex_count),
+                frozenset((i, j) for c in cycles for i in c.left for j in c.right),
+                list(cycles),
+            )
+        )
+        for vertices, edges, comp_cycles in candidates:
+            got = _recognize_phi(vertices, edges, comp_cycles)
+            assert got == recognize_phi_oracle(vertices, edges, comp_cycles)
+            recognized += got[0]
+    assert recognized >= 2 * 56
 
 
 # ---------------------------------------------------------------------------
