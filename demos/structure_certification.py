@@ -25,8 +25,8 @@ from bipmoore import (
 g = build_phi_spec(PhiSpec(11, (4,)))
 dec = classify_and_decompose(g)
 print("Phi-style graph at m=11 with offset 4 (a genuine defect-4 graph):")
-print(f"  {len(dec.cycles.cycles)} short cycles, all 1-path-labeled:",
-      len(dec.s1) == len(dec.cycles.cycles))
+print(f"  {len(dec.labels)} short cycles, all 1-path-labeled:",
+      len(dec.s1) == len(dec.labels))
 comp = dec.gamma1[0]
 print(f"  single component recognized as the circulant ring on m'={comp.m_prime}")
 

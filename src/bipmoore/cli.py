@@ -22,8 +22,6 @@ from .circulant import build_phi_spec, format_spec, parse_spec
 from .graphs import (
     BipartiteGraph,
     check_graph,
-    diameter,
-    girth,
     parse_adjacency,
     parse_edge_list,
     regularity_check,
@@ -35,7 +33,6 @@ from .structure import (
     check_isomorphism,
     check_observations,
     classify_and_decompose,
-    find_isomorphism,
 )
 
 SCHEMA_VERSION = 1
@@ -50,15 +47,6 @@ EXIT_BUDGET = 3
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps({"schemaVersion": SCHEMA_VERSION, **payload}, indent=2))
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("BIPMOORE_WORKERS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 def _read_graph_file(path: str | Path) -> BipartiteGraph:
@@ -207,7 +195,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _emit_json({**dec.to_dict(), **report.to_dict()})
     else:
         print(
-            f"cycles: {len(dec.cycles.cycles)} total; labels 2-path={len(dec.s2)}"
+            f"cycles: {len(dec.labels)} total; labels 2-path={len(dec.s2)}"
             f" 1-path={len(dec.s1)} 0-path={len(dec.s0)}"
         )
         for comp in dec.gamma2:
@@ -256,15 +244,16 @@ def cmd_verify_known(args: argparse.Namespace) -> int:
         spec = parse_spec(text)
         g = build_phi_spec(spec)
         graphs.append((text, g))
+        result = check_graph(g)
         checks = [
-            ("order", g.order == witnesses.DEGREE11_ORDER),
-            ("regularity", regularity_check(g) .degree == witnesses.DEGREE11_DEGREE),
-            ("diameter", diameter(g) == 3),
+            ("order", result.order == witnesses.DEGREE11_ORDER),
+            ("regularity", result.regularity.degree == witnesses.DEGREE11_DEGREE),
+            ("diameter", result.diameter == 3),
             (
                 "defect",
-                moore_bound(witnesses.DEGREE11_DEGREE, 3) - g.order == witnesses.DEGREE11_DEFECT,
+                result.defect is not None and result.defect.defect == witnesses.DEGREE11_DEFECT,
             ),
-            ("girth", girth(g) == 4),
+            ("girth", result.girth == 4),
         ]
         for name, ok in checks:
             status = "ok" if ok else "FAILED"
@@ -273,8 +262,7 @@ def cmd_verify_known(args: argparse.Namespace) -> int:
                 failures.append(f"{text}: {name}")
     for a in range(len(graphs)):
         for b in range(a + 1, len(graphs)):
-            mapping = find_isomorphism(graphs[a][1], graphs[b][1])
-            ok = mapping is None
+            ok = not check_isomorphism(graphs[a][1], graphs[b][1]).isomorphic
             status = "ok" if ok else "FAILED"
             print(f"pair ({a + 1}, {b + 1}): non-isomorphism {status}")
             if not ok:
@@ -304,6 +292,13 @@ def _degree(value: str) -> int:
     if not 2 <= d <= MAX_DEGREE:
         raise argparse.ArgumentTypeError(f"degree must lie in [2, {MAX_DEGREE}]")
     return d
+
+
+def _workers(value: str) -> int:
+    workers = int(value)
+    if workers < 1:
+        raise argparse.ArgumentTypeError("workers must be a positive integer")
+    return workers
 
 
 def _diam(value: str) -> int:
@@ -351,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--all", action="store_true", help="find all solutions (default)")
     mode.add_argument("--first", action="store_true", help="stop at the first solution in shard order")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
     p.add_argument("--budget", type=int, help="node budget, split across shards")
     p.add_argument("--prefix", help="comma-separated fixed leading offsets")
     p.add_argument("--json", action="store_true")
@@ -364,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="low", type=int)
     p.add_argument("--to", dest="high", type=int)
     p.add_argument("--budget", type=int, help="node budget per modulus, split across shards")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_max_m)
 
@@ -385,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="defect-4 nonexistence case audit")
     p.add_argument("--d", type=_degree, default=7)
     p.add_argument("--budget", type=int)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
 

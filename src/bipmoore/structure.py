@@ -11,15 +11,16 @@ its four edges lies on another 4-cycle. The labeled unions split the graph
 into the component families checked by the structural observations, and an
 exact isomorphism test backs the certification of distinct graphs.
 
-The decomposition works per same-side pair, not per cycle. One pass over
-the left pairs finds each pair's common neighbors; a pair with ``c`` of them
-closes ``C(c, 2)`` cycles, all labeled ``s2`` when ``c > 2``, and adds
-``c - 1`` to the cycle count of each of its ``2c`` edges. A pair with two
+The layer works per same-side pair, not per cycle. ``short_cycles`` stores
+each left pair with its ``c >= 2`` common neighbors, closing ``C(c, 2)``
+cycles; ``ShortCycleSet.cycles`` builds cycle objects only when asked. The
+decomposition labels a pair's cycles ``s2`` at once when ``c > 2`` and adds
+``c - 1`` to the cycle count of each of its ``2c`` edges; a pair with two
 common neighbors is labeled from its right pair's common count and its four
-edge counts. The labeled unions are joined in a list-based union-find over
-integer vertex ids, and each component's vertex and edge sets are built
-once, at the end. ``tests/oracles.py`` keeps the walk over cycle objects
-this replaced.
+edge counts. One list-based union-find over integer vertex ids joins both
+the labeled unions and the repeat relation, and each component's vertex and
+edge sets are built once, at the end.
+``tests/oracles.py`` keeps the walk over cycle objects this replaced.
 """
 
 from __future__ import annotations
@@ -79,30 +80,39 @@ class FourCycle:
         raise ValueError(f"{v!r} does not lie on this cycle")
 
 
-@dataclass
-class ShortCycleSet:
-    """All 4-cycles of a graph, each recorded once, with per-vertex counts."""
-
-    cycles: tuple[FourCycle, ...]
-    per_vertex_count: dict[Vertex, int]
-
-
 #: A left pair ``a < b`` with its ascending common neighbors, at least two.
 _Pair = tuple[int, int, tuple[int, ...]]
 
 
-def _cycle_pairs(g: BipartiteGraph) -> tuple[list[_Pair], ShortCycleSet]:
-    """The left pairs with at least two common neighbors, ascending, and the
-    4-cycles they close.
+@dataclass
+class ShortCycleSet:
+    """All 4-cycles of a graph, stored as the left pairs that close them,
+    with per-vertex counts keyed in the order the cycles first visit them."""
 
-    A pair with ``c`` common neighbors closes ``C(c, 2)`` cycles; each pair
-    vertex lies on all of them and each common neighbor on ``c - 1``.
-    Per-vertex counts are keyed in the order the cycles first visit them.
+    pairs: tuple[_Pair, ...]
+    per_vertex_count: dict[Vertex, int]
+
+    @property
+    def cycles(self) -> tuple[FourCycle, ...]:
+        """Every cycle, by left pair, then right pair; built on each access."""
+        return tuple(FourCycle(left, right) for left, right in _cycles_of(self.pairs))
+
+
+def _cycles_of(pairs: Iterable[_Pair]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The cycles the pairs close, as (left pair, right pair), in order."""
+    return [((a, b), right) for a, b, js in pairs for right in combinations(js, 2)]
+
+
+def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
+    """The left pairs with at least two common neighbors, ascending, and the
+    number of 4-cycles through each vertex.
+
+    Each pair vertex lies on all ``C(c, 2)`` cycles of its pair and each
+    common neighbor on ``c - 1`` of them.
     """
     n_left = g.n_left
     rows = g.left_rows
     pairs: list[_Pair] = []
-    cycles: list[FourCycle] = []
     # keyed by integer id (left i, right n_left + j) in first-visit order
     counts: dict[int, int] = {}
     get = counts.get
@@ -121,7 +131,6 @@ def _cycle_pairs(g: BipartiteGraph) -> tuple[list[_Pair], ShortCycleSet]:
                 # general one below.
                 j1, j2 = js = (low.bit_length() - 1, high.bit_length() - 1)
                 pairs.append((a, b, js))
-                cycles.append(FourCycle((a, b), js))
                 r1, r2 = n_left + j1, n_left + j2
                 counts[a] = get(a, 0) + 1
                 counts[r1] = get(r1, 0) + 1
@@ -130,8 +139,6 @@ def _cycle_pairs(g: BipartiteGraph) -> tuple[list[_Pair], ShortCycleSet]:
                 continue
             js = tuple(bits(common))
             pairs.append((a, b, js))
-            left = (a, b)
-            cycles.extend(FourCycle(left, right) for right in combinations(js, 2))
             c = len(js)
             on_pair = c * (c - 1) // 2
             r0 = n_left + js[0]
@@ -144,35 +151,23 @@ def _cycle_pairs(g: BipartiteGraph) -> tuple[list[_Pair], ShortCycleSet]:
     per_vertex_count = {
         ((LEFT, x) if x < n_left else (RIGHT, x - n_left)): count for x, count in counts.items()
     }
-    return pairs, ShortCycleSet(cycles=tuple(cycles), per_vertex_count=per_vertex_count)
+    return ShortCycleSet(pairs=tuple(pairs), per_vertex_count=per_vertex_count)
 
 
-def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
-    """Enumerate the 4-cycles, ordered by left pair, then right pair: a pair
-    of left vertices with ``c >= 2`` common neighbors yields ``C(c, 2)`` cycles."""
-    return _cycle_pairs(g)[1]
+def _root(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
-def _components(groups: Iterable[Iterable[Vertex]]) -> list[frozenset[Vertex]]:
-    """Connected components of the vertices named in ``groups``, where each
-    group joins all of its members; ordered by least vertex."""
-    parent: dict[Vertex, Vertex] = {}
-
-    def root(v: Vertex) -> Vertex:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for first, *rest in groups:
-        r = root(first)
-        for v in rest:
-            parent[root(v)] = r
-    members: dict[Vertex, set[Vertex]] = {}
-    for v in parent:
-        members.setdefault(root(v), set()).add(v)
-    return sorted((frozenset(comp) for comp in members.values()), key=min)
+def _join(parent: list[int], ids: list[int]) -> None:
+    """Join ``ids`` into one set of the union-find ``parent``."""
+    r = _root(parent, ids[0])
+    for x in ids:
+        x = _root(parent, x)
+        if x != r:
+            parent[x] = r
 
 
 def _index(parts: Iterable[Iterable[Vertex]]) -> dict[Vertex, int]:
@@ -197,8 +192,19 @@ class RepeatStructure:
 
 
 def repeat_structure(g: BipartiteGraph, cycles: ShortCycleSet) -> RepeatStructure:
-    pairs = (pair for c in cycles.cycles for pair in c.repeat_pairs())
-    return RepeatStructure(minimal_closed_sets=tuple(_components(pairs)))
+    """Opposite vertices of a cycle are repeats: each left pair is joined,
+    and so are all common neighbors of one pair. Sets ordered by least vertex."""
+    n_left = g.n_left
+    parent = list(range(n_left + g.n_right))
+    for a, b, js in cycles.pairs:
+        _join(parent, [a, b])
+        _join(parent, [n_left + j for j in js])
+    members: dict[int, set[Vertex]] = {}
+    for v in cycles.per_vertex_count:
+        x = v[1] if v[0] == LEFT else n_left + v[1]
+        members.setdefault(_root(parent, x), set()).add(v)
+    sets = sorted((frozenset(s) for s in members.values()), key=min)
+    return RepeatStructure(minimal_closed_sets=tuple(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +329,9 @@ def _recognize_theta(
 def _recognize_phi(
     vertices: frozenset[Vertex],
     edges: frozenset[tuple[int, int]],
-    comp_cycles: list[FourCycle],
+    comp_cycles: list[tuple[tuple[int, int], tuple[int, int]]],
 ) -> tuple[bool, int | None, tuple[Vertex, ...], tuple[Vertex, ...]]:
-    """Match a 1-path component against the circulant pattern.
+    """Match a 1-path component, from its (left, right) cycles, to the circulant pattern.
 
     Inside the pattern every vertex lies on exactly two cycles that share one
     edge each with their two neighbors; the shared edges chain into a single
@@ -336,17 +342,16 @@ def _recognize_phi(
     if m < 5 or len(vertices) != 2 * m or len(edges) != 3 * m:
         return False, None, (), ()
     on_count: Counter[Vertex] = Counter()
-    for c in comp_cycles:
-        for v in c.vertices:
-            on_count[v] += 1
+    for left, right in comp_cycles:
+        on_count.update([(LEFT, i) for i in left] + [(RIGHT, j) for j in right])
     if any(on_count[v] != 2 for v in vertices):
         return False, None, (), ()
     # With every vertex on two cycles, no edge lies on more than two; two
     # cycles are neighbors when exactly one edge lies on both.
     cycles_on: dict[tuple[int, int], list[int]] = {}
-    for k, c in enumerate(comp_cycles):
-        for i in c.left:
-            for j in c.right:
+    for k, (left, right) in enumerate(comp_cycles):
+        for i in left:
+            for j in right:
                 cycles_on.setdefault((i, j), []).append(k)
     shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for edge, ks in cycles_on.items():
@@ -403,8 +408,8 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
     left ``i`` and right ``n_left + j``; the union-find holds one block of
     ids per label, since a vertex may lie on cycles of several labels.
     """
-    pairs, cycle_set = _cycle_pairs(g)
-    cycles = cycle_set.cycles
+    cycle_set = short_cycles(g)
+    pairs = cycle_set.pairs
     n_left, n_right = g.n_left, g.n_right
     n = n_left + n_right
     right_rows = g.right_rows
@@ -422,12 +427,6 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
     # a cycle sharing a 2-path; short of that, a cycle sharing an edge shares
     # a 1-path.
     parent = list(range(3 * n))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     pair_label: list[int] = []
     for a, b, js in pairs:
         if len(js) > 2:
@@ -448,22 +447,21 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
                 lab = 2
         pair_label.append(lab)
         base = lab * n
-        r = root(base + a)
-        for x in (base + b, *[base + n_left + j for j in js]):
-            x = root(x)
-            if x != r:
-                parent[x] = r
+        _join(parent, [base + a, base + b, *[base + n_left + j for j in js]])
 
     # Components in order of their first pair, which is the order of their
-    # least (left) vertex; each gathers vertex ids, edge ids and cycle indices.
+    # least (left) vertex; each gathers vertex ids, edge ids, cycle indices
+    # and its pairs.
     labels: list[str] = []
-    parts: tuple[dict[int, tuple[set[int], set[int], list[int]]], ...] = ({}, {}, {})
-    for (a, b, js), lab in zip(pairs, pair_label):
-        key = root(lab * n + a)
+    parts: tuple[dict[int, tuple[set[int], set[int], list[int], list[_Pair]]], ...] = ({}, {}, {})
+    for pair, lab in zip(pairs, pair_label):
+        a, b, js = pair
+        key = _root(parent, lab * n + a)
         part = parts[lab].get(key)
         if part is None:
-            part = parts[lab][key] = (set(), set(), [])
-        ids, edge_ids, indices = part
+            part = parts[lab][key] = (set(), set(), [], [])
+        ids, edge_ids, indices, comp_pairs = part
+        comp_pairs.append(pair)
         ids.add(a)
         ids.add(b)
         row_a, row_b = a * n_right, b * n_right
@@ -482,25 +480,26 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
                 frozenset(vertex[x] for x in ids),
                 frozenset(divmod(e, n_right) for e in edge_ids),
                 tuple(indices),
+                comp_pairs,
             )
-            for ids, edge_ids, indices in side.values()
+            for ids, edge_ids, indices, comp_pairs in side.values()
         ]
         for side in parts
     ]
     gamma2 = tuple(
         ThetaComponent(vertices, edges, indices, *_recognize_theta(vertices, edges, len(indices)))
-        for vertices, edges, indices in built[0]
+        for vertices, edges, indices, _ in built[0]
     )
     gamma1 = tuple(
         PhiComponent(
-            vertices, edges, indices, *_recognize_phi(vertices, edges, [cycles[k] for k in indices])
+            vertices, edges, indices, *_recognize_phi(vertices, edges, _cycles_of(comp_pairs))
         )
-        for vertices, edges, indices in built[1]
+        for vertices, edges, indices, comp_pairs in built[1]
     )
-    gamma0 = tuple(Gamma0Part(*part) for part in built[2])
+    gamma0 = tuple(Gamma0Part(*part[:3]) for part in built[2])
 
     s2, s1, s0 = (tuple(k for k, lab in enumerate(labels) if lab == want) for want in _LABELS)
-    v2, v1, v0 = (frozenset().union(*(vertices for vertices, _, _ in side)) for side in built)
+    v2, v1, v0 = (frozenset().union(*(part[0] for part in side)) for side in built)
     on_cycles = v2 | v1 | v0
     residue = frozenset(v for v in vertex if v not in on_cycles)
     disjoint = not (v2 & v1 or v2 & v0 or v1 & v0)

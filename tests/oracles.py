@@ -133,14 +133,24 @@ def _cycle_edges(c: FourCycle) -> frozenset[tuple[int, int]]:
     return frozenset((i, j) for i in c.left for j in c.right)
 
 
-def _short_cycles_walk(g: BipartiteGraph) -> ShortCycleSet:
-    cycles = [
+def cycle_walk_oracle(g: BipartiteGraph) -> list[FourCycle]:
+    """Every 4-cycle as an object, by left pair, then right pair."""
+    return [
         FourCycle(left, right)
         for left in combinations(range(g.n_left), 2)
         for right in combinations(bits(g.left_rows[left[0]] & g.left_rows[left[1]]), 2)
     ]
+
+
+def _short_cycles_walk(cycles: list[FourCycle]) -> ShortCycleSet:
+    """The cycle set of a walk: each left pair's common neighbors gathered
+    from its cycles, and the cycles through each vertex counted."""
+    common: dict[tuple[int, int], set[int]] = {}
+    for c in cycles:
+        common.setdefault(c.left, set()).update(c.right)
+    pairs = tuple((a, b, tuple(sorted(js))) for (a, b), js in common.items())
     counts = Counter(v for c in cycles for v in c.vertices)
-    return ShortCycleSet(cycles=tuple(cycles), per_vertex_count=dict(counts))
+    return ShortCycleSet(pairs=pairs, per_vertex_count=dict(counts))
 
 
 def _components_walk(groups) -> list[frozenset[Vertex]]:
@@ -252,8 +262,7 @@ def decomposition_oracle(g: BipartiteGraph) -> Decomposition:
     gathered cycle by cycle. Circulant components are recognized by the
     pairwise cycle comparison of ``recognize_phi_oracle``.
     """
-    cycle_set = _short_cycles_walk(g)
-    cycles = cycle_set.cycles
+    cycles = cycle_walk_oracle(g)
     cycles_on_edge = Counter(e for c in cycles for e in _cycle_edges(c))
 
     def label(c: FourCycle) -> str:
@@ -290,7 +299,7 @@ def decomposition_oracle(g: BipartiteGraph) -> Decomposition:
     residue = frozenset(v for v in g.vertices() if v not in on_cycles)
     disjoint = not (v2 & v1 or v2 & v0 or v1 & v0)
     return Decomposition(
-        cycles=cycle_set,
+        cycles=_short_cycles_walk(cycles),
         labels=labels,
         s2=s2,
         s1=s1,

@@ -233,22 +233,46 @@ def test_audit_command(capsys):
     assert code == 1
 
 
+RECORDS = (
+    "phi 95: 4,7,16,27,38,52,62,81",
+    "phi 95: 4,16,30,43,51,62,71,89",
+    "phi 95: 11,15,21,28,37,40,45,63",
+)
+VERIFY_KNOWN_CHECKS = "".join(
+    f"{text}: {name} ok\n"
+    for text in RECORDS
+    for name in ("order", "regularity", "diameter", "defect", "girth")
+) + "".join(f"pair ({a}, {b}): non-isomorphism FAILED\n" for a, b in ((1, 2), (1, 3), (2, 3)))
+VERIFY_KNOWN_ERR = (
+    "verification FAILED: pair (1, 2): graphs are isomorphic;"
+    " pair (1, 3): graphs are isomorphic; pair (2, 3): graphs are isomorphic\n"
+)
+
+
 def test_verify_known_reports_isomorphism_truth(capsys):
     """Per-graph checks hold; the published non-isomorphism claim does not,
     so the command exits nonzero naming the failing pairs."""
     code, out, err = run(capsys, "verify-known")
     assert code == 1
-    for name in ("order", "regularity", "diameter", "defect", "girth"):
-        assert f"{name} ok" in out
-    assert out.count("non-isomorphism FAILED") == 3
-    assert "graphs are isomorphic" in err
+    assert out == VERIFY_KNOWN_CHECKS
+    assert err == VERIFY_KNOWN_ERR
 
 
 def test_verify_known_export(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify-known", "--export", "--out-dir", str(tmp_path))
+    code, out, err = run(capsys, "verify-known", "--export", "--out-dir", str(tmp_path))
     assert code == 1  # the isomorphism finding does not block the export
+    names = [
+        "phi95_4_7_16_27_38_52_62_81.adj",
+        "phi95_4_16_30_43_51_62_71_89.adj",
+        "phi95_11_15_21_28_37_40_45_63.adj",
+    ]
+    assert out == VERIFY_KNOWN_CHECKS + "".join(f"exported {tmp_path / name}\n" for name in names)
+    assert err == VERIFY_KNOWN_ERR
     files = sorted(tmp_path.glob("*.adj"))
     assert len(files) == 3
+    for name, text in zip(names, RECORDS):
+        want = format_adjacency(build_phi_spec(parse_spec(text))).encode()
+        assert (tmp_path / name).read_bytes() == want
     g = read_adjacency(files[0])
     assert g.order == 190
     assert format_adjacency(g).encode() == files[0].read_bytes()
@@ -269,6 +293,21 @@ def test_workers_env_default(monkeypatch, capsys):
     code, out, _ = run(capsys, "search", "--d", "4", "--m", "11", "--json")
     assert code == 0
     assert json.loads(out)["solutions"] == ["phi 11: 4"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-4", "0"])
+def test_bad_workers_env_is_usage_error(monkeypatch, capsys, value):
+    """A non-positive or non-integer ``BIPMOORE_WORKERS`` stops every command
+    that takes ``--workers`` with a usage error, and no other command."""
+    monkeypatch.setenv("BIPMOORE_WORKERS", value)
+    for argv in (["search", "--d", "4", "--m", "11"], ["max-m", "--d", "4"], ["audit", "--d", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    code, out, _ = run(capsys, "search", "--d", "4", "--m", "11", "--workers", "1", "--json")
+    assert code == 0 and json.loads(out)["solutions"] == ["phi 11: 4"]
+    assert run(capsys, "bound", "4", "3")[0] == 0
 
 
 def test_bad_spec_is_usage_error(capsys):

@@ -25,6 +25,7 @@ from bipmoore.structure import (
 from bipmoore.witnesses import DEGREE4_WITNESS, DEGREE5_WITNESS, KNOWN_DEGREE11_SPECS
 from oracles import (
     components_oracle,
+    cycle_walk_oracle,
     decomposition_oracle,
     four_cycles_oracle,
     pair_invariant_oracle,
@@ -356,15 +357,22 @@ def decomposition_corpus() -> list[tuple[BipartiteGraph, int]]:
 
 def test_decomposition_matches_oracle():
     """The pair-keyed decomposition equals the cycle walk it replaced: the
-    same ``Decomposition``, per-vertex counts keyed in the same order, and
-    the same observation report."""
+    same ``Decomposition``, the walk's cycles in the walk's order, per-vertex
+    counts keyed in the same order, the same minimal closed sets as
+    breadth-first components of the walk's repeat pairs, and the same
+    observation report."""
     kinds: Counter[str] = Counter()
     cycle_counts = []
     for g, d in decomposition_corpus():
         dec = classify_and_decompose(g)
         want = decomposition_oracle(g)
         assert dec == want
+        walk = cycle_walk_oracle(g)
+        assert dec.cycles.cycles == tuple(walk)
         assert list(dec.cycles.per_vertex_count.items()) == list(want.cycles.per_vertex_count.items())
+        closed = repeat_structure(g, dec.cycles).minimal_closed_sets
+        oracle_sets = components_oracle([pair for c in walk for pair in c.repeat_pairs()])
+        assert closed == tuple(sorted(oracle_sets, key=min))
         report = check_observations(g, dec, d)
         assert report.to_dict() == check_observations(g, want, d).to_dict()
         kinds.update(dec.labels)
@@ -416,10 +424,29 @@ def test_recognize_phi_matches_pairwise_oracle():
             )
         )
         for vertices, edges, comp_cycles in candidates:
-            got = _recognize_phi(vertices, edges, comp_cycles)
+            got = _recognize_phi(vertices, edges, [(c.left, c.right) for c in comp_cycles])
             assert got == recognize_phi_oracle(vertices, edges, comp_cycles)
             recognized += got[0]
     assert recognized >= 2 * 56
+
+
+def test_decomposition_builds_no_cycle_objects(monkeypatch):
+    """Decomposing and checking observations read the pair records only:
+    they succeed with ``FourCycle`` made unusable, on a graph whose checks
+    reach the repeat structure and on a degree-11 record."""
+    from bipmoore import structure
+
+    def refuse(*args):
+        raise AssertionError("FourCycle built")
+
+    monkeypatch.setattr(structure, "FourCycle", refuse)
+    g = build_phi_spec(parse_spec("phi 11: 4"))
+    statuses = {e.name: e.status for e in check_observations(g, classify_and_decompose(g), 4).entries}
+    assert statuses["closed_set_divisibility"] == "pass"
+    g = build_phi_spec(parse_spec(KNOWN_DEGREE11_SPECS[0]))
+    dec = classify_and_decompose(g)
+    assert len(dec.labels) == 760
+    assert not check_observations(g, dec, 11).applicable
 
 
 # ---------------------------------------------------------------------------
