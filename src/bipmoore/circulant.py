@@ -1,10 +1,11 @@
 """Builders for the circulant-style bipartite families and their residue test.
 
 The central family is the graph on sides ``{x_i}`` and ``{y_i}`` (indices mod
-``m``) with edges ``x_i ~ y_i, y_{i+1}, y_{i-1}`` plus one extra edge
-``x_i ~ y_{i+a}`` per offset ``a``. Whether such a graph has diameter at most
-3 reduces to a covering question about residues reachable in exactly two
-steps, which is what the search engine enumerates.
+``m``) with edges ``x_i ~ y_{i+b}`` for every shift ``b`` of the connection set
+``B = FIXED_SHIFTS + offsets``. Two left vertices ``x_i`` and ``x_{i+r}`` share
+a neighbour exactly when ``r`` is a difference ``s - t`` of shifts in ``B``, so
+whether such a graph has diameter at most 3 reduces to whether these
+two-step residues cover ``Z_m``, which is what the search engine enumerates.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import BipartiteGraph
+
+#: The shifts every phi graph has; its offsets add one shift each.
+FIXED_SHIFTS = (-1, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ def build_theta(t: int) -> BipartiteGraph:
 def build_phi_spec(spec: PhiSpec) -> BipartiteGraph:
     """The graph described by ``spec``: 2m vertices, (3 + #offsets)-regular."""
     m = spec.m
-    shifts = (0, 1, m - 1) + spec.offsets
+    shifts = FIXED_SHIFTS + spec.offsets
     lists = [sorted((i + s) % m for s in shifts) for i in range(m)]
     return BipartiteGraph.from_neighbor_lists(lists, m)
 
@@ -126,22 +130,14 @@ def build_phi(m: int) -> BipartiteGraph:
     return build_phi_spec(PhiSpec(m))
 
 
-#: Two-step residues through the fixed shifts ``0, 1, -1`` alone.
-BASE_RESIDUES = (0, 1, -1, 2, -2)
-
-
-def offset_residues(a: int) -> tuple[int, ...]:
-    """The six two-step residues an offset ``a`` adds with the fixed shifts."""
-    return (a, -a, a + 1, -a - 1, a - 1, -a + 1)
-
-
 @dataclass(frozen=True)
 class ResidueCoverage:
     """The two-step residue multiset of a spec and its coverage verdict.
 
-    ``counts[r]`` is the multiplicity with which residue ``r`` occurs in the
-    collection ``BASE_RESIDUES``, ``offset_residues(a_i)`` for every offset
-    and ``a_i - a_j (i != j)``, all reduced mod m.
+    ``counts[r]`` is the multiplicity with which residue ``r`` occurs as a
+    difference ``s - t`` of distinct shifts in ``B = FIXED_SHIFTS + offsets``,
+    reduced mod m, plus ``0`` once. The fixed shifts give ``+-1`` twice
+    (``1 - 0`` and ``0 - (-1)``), and that repeat is counted once.
     """
 
     m: int
@@ -168,15 +164,16 @@ def two_step_residues(spec: PhiSpec) -> ResidueCoverage:
     """
     m = spec.m
     counts = [0] * m
-    for value in BASE_RESIDUES:
+    # Differences within the fixed shifts, each value once: 0 and the +-1
+    # that two pairs give are counted once.
+    for value in {s - t for s in FIXED_SHIFTS for t in FIXED_SHIFTS}:
         counts[value % m] += 1
-    for a in spec.offsets:
-        for value in offset_residues(a):
-            counts[value % m] += 1
-    for a in spec.offsets:
-        for b in spec.offsets:
-            if a != b:
-                counts[(a - b) % m] += 1
+    # Every pair of shifts with an offset in it gives both its differences.
+    shifts = FIXED_SHIFTS + spec.offsets
+    for i in range(len(FIXED_SHIFTS), len(shifts)):
+        for t in shifts[:i]:
+            counts[(shifts[i] - t) % m] += 1
+            counts[(t - shifts[i]) % m] += 1
     return ResidueCoverage(m=m, counts=tuple(counts))
 
 

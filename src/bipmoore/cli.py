@@ -149,15 +149,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(report.to_json_dict())
     else:
-        state = "exhausted" if report.exhausted else "partial"
-        print(f"{report.counters.solutions_found} solutions, {state}")
-        for spec in report.solutions:
-            print(f"  {format_spec(spec)}")
-        c = report.counters
-        print(
-            f"nodes {c.nodes_visited}, bound prunes {c.pruned_by_bound},"
-            f" symmetry prunes {c.pruned_by_symmetry}"
-        )
+        print(report.to_text())
     if report.counters.budget_stops:
         return EXIT_BUDGET
     if args.expect_none and report.solutions:
@@ -176,14 +168,7 @@ def cmd_max_m(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(result.to_json_dict())
     else:
-        if result.best_m is not None:
-            print(f"largest modulus in [{low}, {high}] with a witness: {result.best_m}")
-            for w in result.witnesses:
-                print(f"  {format_spec(w)}")
-        elif result.conclusive:
-            print(f"no witness for any modulus in [{low}, {high}]")
-        else:
-            print("inconclusive: budget ran out before the range was settled")
+        print(result.to_text())
     return EXIT_OK if result.conclusive else EXIT_BUDGET
 
 

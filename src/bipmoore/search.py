@@ -1,34 +1,38 @@
 """Exhaustive enumeration of offset tuples with full two-step residue coverage.
 
-The search walks ascending offset tuples ``a_1 < ... < a_{d-3}`` over
-``[2, m-2]`` and keeps a residue-coverage bitmask per partial tuple. It
-checks forward: a node with ``k`` offsets chosen carries its live
-candidates ``w``, each with the mask of the residues it would add, namely
-``offset_residues(w)`` and ``+-(w - b)`` for every chosen ``b``. Placing an
-offset extends every mask by one difference pair. Pruning is:
+A phi graph is its connection set ``B = FIXED_SHIFTS + offsets``, and it has
+diameter at most 3 iff the differences ``B - B`` cover ``Z_m``. The search
+walks ascending offset tuples ``a_1 < ... < a_{d-3}`` over ``[2, m-2]``,
+growing ``B`` one offset at a time with a bitmask of ``B - B``. It checks
+forward: a node whose ``B`` has ``k`` shifts carries its live candidates
+``w``, each with the mask ``+-(w - b)`` over every ``b`` in ``B`` of the
+residues it would add. Placing an offset extends every mask by one pair.
+Pruning is:
 
 * by an admissibility bound: the ``r`` offsets still to place can add at
-  most ``r*(6 + 2k) + r*(r-1)`` new residues. The node's **slack** is
-  ``covered + r*(6 + 2k) + r*(r-1) - m``; it must stay non-negative;
-* by waste: a candidate's **waste** is ``6 + 2k`` minus the new residues
-  its mask adds. The wastes of the ``r`` offsets that complete a tuple sum
-  to at most the slack, and a candidate's waste never decreases as offsets
-  are added: its mask gains at most two residues, the allowance ``6 + 2k``
+  most ``r*2k + r*(r-1)`` new residues, two per shift in ``B`` and two per
+  pair of new offsets. The node's **slack** is
+  ``covered + r*2k + r*(r-1) - m``; it must stay non-negative;
+* by waste: a candidate's **waste** is the allowance ``2 * |B|`` minus the
+  new residues its mask adds. The wastes of the ``r`` offsets that complete
+  a tuple sum to at most the slack, and a candidate's waste never decreases
+  as offsets are added: its mask gains at most two residues, the allowance
   grows by two and the coverage only grows. So every candidate whose waste
   exceeds the slack is dropped for the whole subtree, and a node dies when
   fewer live candidates remain than offsets still to place. Placing a live
   candidate lowers the slack by its waste, so every placed leaf is a full
   cover;
 * by the sum of gains: a candidate's **gain** is the number of new residues
-  its mask adds. Each of the ``r`` offsets still to place adds at most its
-  gain at this node plus two for every offset placed between this node and
-  it, so a node dies when its ``r`` largest live gains plus ``r*(r-1)`` fall
-  short of the residues still uncovered. Put in wastes, the ``r`` smallest
-  wastes exceed the slack; at the cap the slack is 0 and the test is void;
+  its mask adds, kept beside it when the live list is filtered. Each of the
+  ``r`` offsets still to place adds at most its gain at this node plus two
+  for every offset placed between this node and it, so a node dies when its
+  ``r`` largest live gains plus ``r*(r-1)`` fall short of the residues still
+  uncovered. Put in wastes, the ``r`` smallest wastes exceed the slack; at
+  the cap the slack is 0 and the test is void;
 * by the negation symmetry: a tuple and its negation mod ``m`` describe
-  isomorphic graphs, so only tuples that are lexicographically no larger
-  than their negation image are kept, and candidates beyond ``m - a_1``,
-  which would force a larger-than-negation tuple, are never listed.
+  isomorphic graphs, so only canonical tuples (``circulant.canonicalize``)
+  are kept, and candidates beyond ``m - a_1``, which would force a
+  larger-than-negation tuple, are never listed.
 
 Sharding is by the value of the first free offset position. Shards whose
 value already exceeds ``m - a_1`` hold nothing canonical: they are counted
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bounds import max_m_upper_bound
-from .circulant import BASE_RESIDUES, PhiSpec, format_spec, offset_residues
+from .circulant import FIXED_SHIFTS, PhiSpec, canonicalize, format_spec
 
 MODES = ("find-all", "find-first")
 
@@ -160,6 +164,17 @@ class SearchReport:
             "exhausted": self.exhausted,
         }
 
+    def to_text(self) -> str:
+        c = self.counters
+        state = "exhausted" if self.exhausted else "partial"
+        lines = [f"{c.solutions_found} solutions, {state}"]
+        lines += [f"  {format_spec(spec)}" for spec in self.solutions]
+        lines.append(
+            f"nodes {c.nodes_visited}, bound prunes {c.pruned_by_bound},"
+            f" symmetry prunes {c.pruned_by_symmetry}"
+        )
+        return "\n".join(lines)
+
 
 class _StopShard(Exception):
     """Internal unwind for budget exhaustion / find-first early stop / stop flag."""
@@ -176,23 +191,12 @@ def _set_stop_flag(flag) -> None:
     _stop_flag = flag
 
 
-def _residue_mask(m: int, values: tuple[int, ...]) -> int:
-    mask = 0
-    for value in values:
-        mask |= 1 << (value % m)
-    return mask
-
-
 @lru_cache(maxsize=2)
-def _tables(m: int) -> tuple[list[int], list[int]]:
-    """``units[a]``: the residues of offset ``a`` alone; ``pair[t]``: the
-    differences ``+-t`` between two offsets ``t`` apart. Built once per
-    modulus per process."""
-    units = [0] * (m - 1)
-    for a in range(2, m - 1):
-        units[a] = _residue_mask(m, offset_residues(a))
-    pair = [(1 << t) | (1 << (m - t)) for t in range(m)]
-    return units, pair
+def _pair_masks(m: int) -> list[int]:
+    """``pair[t]``: the residues ``+-t``, the two differences of shifts ``t``
+    apart. A negative ``t`` reads the same mask, since ``pair[-t]`` is
+    ``pair[m - t]``. Built once per modulus per process."""
+    return [(1 << t) | (1 << (-t % m)) for t in range(m)]
 
 
 def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
@@ -203,32 +207,32 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     ``m - a_1`` never reaches here (see ``_plan``).
     """
     task, shard_value, budget = args
-    m, n = task.m, task.d - 3
-    units, pair = _tables(m)
-    # bound_add[k]: most residues the n - k offsets still to place can add.
-    bound_add = [(n - k) * (6 + 2 * k) + (n - k) * (n - k - 1) for k in range(n + 1)]
+    m, d = task.m, task.d
+    pair = _pair_masks(m)
+    # bound_add[k]: most residues the d - k shifts still to add to k can add.
+    bound_add = [(d - k) * 2 * k + (d - k) * (d - k - 1) for k in range(d + 1)]
     full = (1 << m) - 1
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     find_first = task.mode == "find-first"
     stop = _stop_flag
 
-    prefix = list(task.prefix)
+    prefix = task.prefix
     sym_cap = m - (prefix[0] if prefix else shard_value)
 
-    # Coverage contributed by the prefix itself (not counted as nodes).
-    covered = _residue_mask(m, BASE_RESIDUES)
-    for idx, a in enumerate(prefix):
-        covered |= units[a]
-        for b in prefix[:idx]:
-            covered |= pair[a - b]
+    # The connection set of the walk's current node and its coverage; the
+    # prefix is not counted as nodes.
+    shifts = [*FIXED_SHIFTS, *prefix]
+    covered = 1
+    for i, s in enumerate(shifts):
+        for t in shifts[:i]:
+            covered |= pair[s - t]
 
-    def accept(chosen: list[int]) -> None:
-        offsets = tuple(chosen)
-        negated = tuple(sorted(m - a for a in offsets))
-        if offsets <= negated:
+    def accept() -> None:
+        spec = PhiSpec(m, tuple(shifts[len(FIXED_SHIFTS) :]))
+        if canonicalize(spec) == spec:
             counters.solutions_found += 1
-            solutions.append(PhiSpec(m, offsets))
+            solutions.append(spec)
             if find_first:
                 raise _StopShard
         else:
@@ -237,9 +241,9 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     def slack(k: int, covered: int) -> int:
         return covered.bit_count() + bound_add[k] - m
 
-    def place(v: int, mask_v: int, chosen: list[int], covered: int, rest: list) -> None:
-        # chosen includes the prefix; only non-prefix placements reach here.
-        # rest: the live (candidate, mask against chosen) pairs after v.
+    def place(v: int, mask_v: int, covered: int, rest: list) -> None:
+        # Only placements beyond the prefix reach here.
+        # rest: the live (candidate, mask against shifts, gain) triples after v.
         if budget is not None and counters.nodes_visited >= budget:
             counters.budget_stops += 1
             raise _StopShard
@@ -247,56 +251,57 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
             raise _StopShard
         counters.nodes_visited += 1
         covered |= mask_v
-        chosen.append(v)
-        k = len(chosen)
-        r = n - k
+        shifts.append(v)
+        k = len(shifts)
+        r = d - k
         if r == 0:
-            accept(chosen)
+            accept()
         else:
             room = slack(k, covered)
-            least = 6 + 2 * k - room
+            least = 2 * k - room
             uncovered = full ^ covered
             live = [
-                (w, x)
-                for w, mw in rest
-                if ((x := mw | pair[w - v]) & uncovered).bit_count() >= least
+                (w, x, g)
+                for w, mw, _ in rest
+                if (g := ((x := mw | pair[w - v]) & uncovered).bit_count()) >= least
             ]
             dead = len(live) < r
             if not dead and r > 1 and room > 0:
                 # Sum of gains; with no slack or one offset left every live candidate passes it.
-                gains = sorted((x & uncovered).bit_count() for _, x in live)
+                gains = sorted(g for _, _, g in live)
                 dead = sum(gains[-r:]) + r * (r - 1) < m - covered.bit_count()
             if dead:
                 counters.pruned_by_bound += 1
             else:
                 # Only candidates followed by enough live ones to finish the tuple.
                 for i in range(len(live) - r + 1):
-                    place(*live[i], chosen, covered, live[i + 1 :])
-        chosen.pop()
+                    w, x, _ = live[i]
+                    place(w, x, covered, live[i + 1 :])
+        shifts.pop()
 
     exhausted = True
     v = shard_value
     try:
         if v is None:
             if covered.bit_count() == m:
-                accept(prefix)
+                accept()
         else:
-            k = len(prefix)
-            if k + 1 < n:
+            k = len(shifts)
+            if k + 1 < d:
                 # Candidates beyond m - a_1 are never listed.
                 counters.pruned_by_symmetry += (m - 2) - sym_cap
             # The prefix node's live candidates from v on; the shard places only v.
-            least = 6 + 2 * k - slack(k, covered)
+            least = 2 * k - slack(k, covered)
             uncovered = full ^ covered
             live = []
             for w in range(v, sym_cap + 1):
-                mw = units[w]
-                for b in prefix:
+                mw = 0
+                for b in shifts:
                     mw |= pair[w - b]
-                if (mw & uncovered).bit_count() >= least:
-                    live.append((w, mw))
-            if live and live[0][0] == v and len(live) >= n - k:
-                place(*live[0], prefix, covered, live[1:])
+                if (g := (mw & uncovered).bit_count()) >= least:
+                    live.append((w, mw, g))
+            if live and live[0][0] == v and len(live) >= d - k:
+                place(v, live[0][1], covered, live[1:])
     except _StopShard:
         # A find-first stop after the only candidate of a pinned prefix
         # leaves nothing unvisited.
@@ -411,6 +416,15 @@ class MaxMResult:
                 for m, rep in self.reports.items()
             ],
         }
+
+    def to_text(self) -> str:
+        span = f"[{self.m_low}, {self.m_high}]"
+        if self.best_m is not None:
+            lines = [f"largest modulus in {span} with a witness: {self.best_m}"]
+            return "\n".join(lines + [f"  {format_spec(w)}" for w in self.witnesses])
+        if self.conclusive:
+            return f"no witness for any modulus in {span}"
+        return "inconclusive: budget ran out before the range was settled"
 
 
 def max_m(

@@ -420,6 +420,23 @@ def random_bipartite(rng, n_left: int, n_right: int, p: float) -> BipartiteGraph
     return BipartiteGraph.from_neighbor_lists(lists, n_right)
 
 
+def two_step_residues_oracle(m: int, offsets: tuple[int, ...]) -> tuple[int, ...]:
+    """The two-step residue counts of ``phi m: offsets`` by the written-out formula.
+
+    The fixed shifts alone give ``0, 1, -1, 2, -2``; each offset ``a`` adds
+    ``+-a``, ``+-(a + 1)`` and ``+-(a - 1)``; and every ordered pair of
+    distinct offsets adds its difference. All are reduced mod m.
+    """
+    values = [0, 1, -1, 2, -2]
+    for a in offsets:
+        values += [a, -a, a + 1, -a - 1, a - 1, -a + 1]
+    values += [a - b for a in offsets for b in offsets if a != b]
+    counts = [0] * m
+    for value in values:
+        counts[value % m] += 1
+    return tuple(counts)
+
+
 class _FirstSolution(Exception):
     """Unwinds the bound-only walk at its first solution."""
 

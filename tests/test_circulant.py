@@ -20,7 +20,7 @@ from bipmoore.circulant import (
 )
 from bipmoore.graphs import LEFT, RIGHT, bfs_distances, diameter, girth, regularity_check
 from bipmoore.structure import short_cycles, verify_isomorphism
-from oracles import diameter_oracle
+from oracles import diameter_oracle, two_step_residues_oracle
 
 
 def test_theta_shapes():
@@ -94,6 +94,33 @@ def test_multiset_size_identity():
         spec = PhiSpec(m, offsets)
         d = spec.degree
         assert two_step_residues(spec).multiset_size == d * d - d - 1
+
+
+def _random_spec(rng: random.Random, max_m: int, max_offsets: int) -> PhiSpec:
+    m = rng.randint(5, max_m)
+    n_offsets = rng.randint(0, min(max_offsets, m - 3))
+    return PhiSpec(m, tuple(rng.sample(range(2, m - 1), n_offsets)))
+
+
+def test_residue_counts_match_written_out_formula():
+    rng = random.Random(20261018)
+    small = 0
+    for _ in range(600):
+        spec = _random_spec(rng, 60, 8)
+        small += spec.m <= 12
+        assert two_step_residues(spec).counts == two_step_residues_oracle(spec.m, spec.offsets), spec
+    assert small >= 50  # moduli where residues of different shifts collide
+
+
+def test_covered_residues_are_common_neighbours_in_the_graph():
+    """``r`` is covered iff ``x_0`` and ``x_r`` share a neighbour (``r = 0`` always)."""
+    rng = random.Random(4242)
+    for _ in range(200):
+        spec = _random_spec(rng, 40, 6)
+        g = build_phi_spec(spec)
+        around_x0 = set(g.left_neighbors(0))
+        shared = {r for r in range(spec.m) if around_x0 & set(g.left_neighbors(r))}
+        assert two_step_residues(spec).covered == {0} | shared, spec
 
 
 def test_diameter_test_examples():

@@ -165,6 +165,43 @@ def test_max_m(capsys):
     assert payload["witnesses"] == ["phi 11: 4"]
 
 
+@pytest.mark.parametrize(
+    "argv, expected_code, expected_out",
+    [
+        (
+            ("search", "--d", "4", "--m", "11"),
+            0,
+            "1 solutions, exhausted\n  phi 11: 4\n"
+            "nodes 1, bound prunes 0, symmetry prunes 4\n",
+        ),
+        (
+            ("search", "--d", "9", "--m", "65", "--first"),
+            0,
+            "1 solutions, partial\n  phi 65: 5,9,27,34,50,53\n"
+            "nodes 38353, bound prunes 32928, symmetry prunes 6\n",
+        ),
+        (
+            ("max-m", "--d", "5"),
+            0,
+            "largest modulus in [5, 19] with a witness: 19\n  phi 19: 5,8\n",
+        ),
+        (
+            ("max-m", "--d", "7", "--from", "40", "--to", "41"),
+            0,
+            "no witness for any modulus in [40, 41]\n",
+        ),
+        (
+            ("max-m", "--d", "7", "--budget", "10"),
+            3,
+            "inconclusive: budget ran out before the range was settled\n",
+        ),
+    ],
+)
+def test_search_and_max_m_text(capsys, argv, expected_code, expected_out):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (expected_code, expected_out, "")
+
+
 def test_analyze(tmp_path, capsys):
     path = tmp_path / "phi11_4.adj"
     code, _, _ = run(capsys, "build", "--spec", "phi 11: 4", "--out", str(path))

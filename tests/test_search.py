@@ -265,11 +265,11 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
 
 
 def test_tables_built_once_per_modulus():
-    search._tables.cache_clear()
+    search._pair_masks.cache_clear()
     search_offsets(SearchTask(d=8, m=45))
-    assert search._tables.cache_info().misses == 1
+    assert search._pair_masks.cache_info().misses == 1
     max_m(8, 52, 53)
-    assert search._tables.cache_info().misses == 3
+    assert search._pair_masks.cache_info().misses == 3
 
 
 def test_budget_interrupts():
