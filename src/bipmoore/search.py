@@ -241,43 +241,44 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     def slack(k: int, covered: int) -> int:
         return covered.bit_count() + bound_add[k] - m
 
-    def place(v: int, mask_v: int, covered: int, rest: list) -> None:
-        # Only placements beyond the prefix reach here.
-        # rest: the live (candidate, mask against shifts, gain) triples after v.
-        if budget is not None and counters.nodes_visited >= budget:
-            counters.budget_stops += 1
-            raise _StopShard
-        if stop is not None and not counters.nodes_visited & 63 and stop.is_set():
-            raise _StopShard
-        counters.nodes_visited += 1
-        covered |= mask_v
-        shifts.append(v)
-        k = len(shifts)
+    def expand(covered: int, live: list, count: int) -> None:
+        # Place each of the first ``count`` live (candidate, mask against
+        # shifts, gain) triples of the current node and test the child in this
+        # loop: only children that live are expanded in turn.
+        k = len(shifts) + 1
         r = d - k
-        if r == 0:
-            accept()
-        else:
-            room = slack(k, covered)
-            least = 2 * k - room
-            uncovered = full ^ covered
-            live = [
-                (w, x, g)
-                for w, mw, _ in rest
-                if (g := ((x := mw | pair[w - v]) & uncovered).bit_count()) >= least
-            ]
-            dead = len(live) < r
-            if not dead and r > 1 and room > 0:
-                # Sum of gains; with no slack or one offset left every live candidate passes it.
-                gains = sorted(g for _, _, g in live)
-                dead = sum(gains[-r:]) + r * (r - 1) < m - covered.bit_count()
-            if dead:
-                counters.pruned_by_bound += 1
+        for i in range(count):
+            if budget is not None and counters.nodes_visited >= budget:
+                counters.budget_stops += 1
+                raise _StopShard
+            if stop is not None and not counters.nodes_visited & 63 and stop.is_set():
+                raise _StopShard
+            counters.nodes_visited += 1
+            v, mask_v, _ = live[i]
+            shifts.append(v)
+            if r == 0:
+                accept()
             else:
-                # Only candidates followed by enough live ones to finish the tuple.
-                for i in range(len(live) - r + 1):
-                    w, x, _ = live[i]
-                    place(w, x, covered, live[i + 1 :])
-        shifts.pop()
+                child_covered = covered | mask_v
+                room = slack(k, child_covered)
+                least = 2 * k - room
+                uncovered = full ^ child_covered
+                child = [
+                    (w, x, g)
+                    for w, mw, _ in live[i + 1 :]
+                    if (g := ((x := mw | pair[w - v]) & uncovered).bit_count()) >= least
+                ]
+                dead = len(child) < r
+                if not dead and r > 1 and room > 0:
+                    # Sum of gains; with no slack or one offset left every live candidate passes it.
+                    gains = sorted(g for _, _, g in child)
+                    dead = sum(gains[-r:]) + r * (r - 1) < m - child_covered.bit_count()
+                if dead:
+                    counters.pruned_by_bound += 1
+                else:
+                    # Only candidates followed by enough live ones to finish the tuple.
+                    expand(child_covered, child, len(child) - r + 1)
+            shifts.pop()
 
     exhausted = True
     v = shard_value
@@ -301,7 +302,7 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
                 if (g := (mw & uncovered).bit_count()) >= least:
                     live.append((w, mw, g))
             if live and live[0][0] == v and len(live) >= d - k:
-                place(v, live[0][1], covered, live[1:])
+                expand(covered, live, 1)
     except _StopShard:
         # A find-first stop after the only candidate of a pinned prefix
         # leaves nothing unvisited.
