@@ -29,10 +29,21 @@ Pruning is:
   ``r`` largest live gains plus ``r*(r-1)`` fall short of the residues still
   uncovered. Put in wastes, the ``r`` smallest wastes exceed the slack; at
   the cap the slack is 0 and the test is void;
+* by support: the ``r`` offsets still to place come from the live list, so
+  each uncovered residue must lie in a live candidate's mask or be
+  ``+-(f2 - f1)`` for two live candidates. A node with ``r >= 2`` dies when
+  more than ``r*(r-1)`` uncovered residues lie outside the union of the live
+  masks, or when one of those is no such difference (``_unsupported``). The
+  test holds at and off the cap;
 * by the negation symmetry: a tuple and its negation mod ``m`` describe
   isomorphic graphs, so only canonical tuples (``circulant.canonicalize``)
   are kept, and candidates beyond ``m - a_1``, which would force a
   larger-than-negation tuple, are never listed.
+
+A node's children are placed and tested in the node's own loop: the loop
+counts each child, filters its live list and runs the tests above, accepts
+leaves and recurses only into children that live, so a dead node costs no
+recursive call.
 
 Sharding is by the value of the first free offset position. Shards whose
 value already exceeds ``m - a_1`` hold nothing canonical: they are counted
@@ -110,8 +121,9 @@ class SearchCounters:
 
     ``nodes_visited`` counts offset placements beyond the prefix; only live
     candidates are placed. ``pruned_by_bound`` counts placed nodes that died
-    because too few live candidates remained to finish the tuple or their
-    largest gains fell short, so it never exceeds ``nodes_visited``, and
+    because too few live candidates remained to finish the tuple, their
+    largest gains fell short or they could not support the residues still
+    uncovered, so it never exceeds ``nodes_visited``, and
     ``1 - pruned_by_bound / nodes_visited`` is the share of placed nodes
     that were leaves or went on to place a child. ``pruned_by_symmetry``
     counts the candidates beyond ``m - a_1`` (once per shard), the shard
@@ -199,6 +211,31 @@ def _pair_masks(m: int) -> list[int]:
     return [(1 << t) | (1 << (-t % m)) for t in range(m)]
 
 
+def _unsupported(uncovered: int, live: list, r: int, m: int) -> bool:
+    """True when no ``r`` of the ``live`` (candidate, mask, gain) triples can
+    cover ``uncovered``: each residue must lie in a chosen candidate's mask or
+    be ``+-(f2 - f1)`` for two chosen candidates ``f1 < f2``.
+
+    The ``r*(r-1)/2`` pairs cover at most ``r*(r-1)`` residues outside the
+    masks' union, and a residue ``t`` there needs two live values ``t`` or
+    ``m - t`` apart: offsets lie in ``[2, m-2]``, so ``0 < f2 - f1 < m`` and
+    ``f2 - f1 = +-t`` mod ``m`` means one of the two.
+    """
+    union = vals = 0
+    for w, x, _ in live:
+        union |= x
+        vals |= 1 << w
+    outside = uncovered & ~union
+    if outside.bit_count() > r * (r - 1):
+        return True
+    while outside:
+        t = (outside & -outside).bit_length() - 1
+        if not (vals & (vals >> t) or vals & (vals >> (m - t))):
+            return True
+        outside &= ~(1 << t | 1 << (m - t))
+    return False
+
+
 def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
     """Explore the subtree where the first free position takes ``shard_value``.
 
@@ -238,9 +275,6 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
         else:
             counters.pruned_by_symmetry += 1
 
-    def slack(k: int, covered: int) -> int:
-        return covered.bit_count() + bound_add[k] - m
-
     def expand(covered: int, live: list, count: int) -> None:
         # Place each of the first ``count`` live (candidate, mask against
         # shifts, gain) triples of the current node and test the child in this
@@ -260,7 +294,8 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
                 accept()
             else:
                 child_covered = covered | mask_v
-                room = slack(k, child_covered)
+                missing = m - child_covered.bit_count()
+                room = bound_add[k] - missing
                 least = 2 * k - room
                 uncovered = full ^ child_covered
                 child = [
@@ -269,10 +304,13 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
                     if (g := ((x := mw | pair[w - v]) & uncovered).bit_count()) >= least
                 ]
                 dead = len(child) < r
-                if not dead and r > 1 and room > 0:
-                    # Sum of gains; with no slack or one offset left every live candidate passes it.
-                    gains = sorted(g for _, _, g in child)
-                    dead = sum(gains[-r:]) + r * (r - 1) < m - child_covered.bit_count()
+                if not dead and r > 1:
+                    # Sum of gains, void with no slack, then support. With one
+                    # offset left every live candidate completes a cover.
+                    if room > 0:
+                        gains = sorted(g for _, _, g in child)
+                        dead = sum(gains[-r:]) + r * (r - 1) < missing
+                    dead = dead or _unsupported(uncovered, child, r, m)
                 if dead:
                     counters.pruned_by_bound += 1
                 else:
@@ -292,7 +330,8 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
                 # Candidates beyond m - a_1 are never listed.
                 counters.pruned_by_symmetry += (m - 2) - sym_cap
             # The prefix node's live candidates from v on; the shard places only v.
-            least = 2 * k - slack(k, covered)
+            # A candidate's waste, 2k minus its gain, may not exceed the slack.
+            least = 2 * k - (covered.bit_count() + bound_add[k] - m)
             uncovered = full ^ covered
             live = []
             for w in range(v, sym_cap + 1):

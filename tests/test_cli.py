@@ -178,7 +178,7 @@ def test_max_m(capsys):
             ("search", "--d", "9", "--m", "65", "--first"),
             0,
             "1 solutions, partial\n  phi 65: 5,9,27,34,50,53\n"
-            "nodes 38353, bound prunes 32928, symmetry prunes 6\n",
+            "nodes 26991, bound prunes 25144, symmetry prunes 6\n",
         ),
         (
             ("max-m", "--d", "5"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import random
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -11,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from bipmoore import search
-from bipmoore.circulant import PhiSpec, diameter_at_most_3, format_spec, two_step_residues
+from bipmoore.circulant import FIXED_SHIFTS, PhiSpec, diameter_at_most_3, format_spec, two_step_residues
 from bipmoore.search import SearchTask, max_m, search_offsets
 from oracles import bound_only_search_oracle, naive_coverage_solutions
 
@@ -55,20 +56,21 @@ def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     "d, m, solutions, nodes, by_bound, by_symmetry",
     [
         (5, 19, 1, 6, 4, 36),
-        (6, 29, 0, 38, 31, 91),
-        (7, 41, 0, 217, 156, 190),
-        (8, 55, 0, 1402, 1088, 351),
-        (9, 71, 0, 9443, 7132, 595),
+        (6, 29, 0, 33, 29, 91),
+        (7, 41, 0, 143, 128, 190),
+        (8, 55, 0, 884, 798, 351),
+        (9, 71, 0, 4575, 4207, 595),
         (5, 17, 4, 10, 3, 28),
-        (6, 25, 14, 102, 67, 66),
-        (8, 45, 210, 26409, 23106, 232),
-        (10, 89, 0, 65326, 50774, 946),
+        (6, 25, 14, 98, 64, 66),
+        (8, 45, 210, 23421, 20906, 232),
+        (10, 89, 0, 29546, 27350, 946),
+        (11, 109, 0, 168660, 158032, 1431),
     ],
 )
 def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     """Exact work counts of the forward-checking engine: it is deterministic,
     so any change in pruning or enumeration order shows here. The sum-of-gains
-    test has no slack to act on at the cap, so only the off-cap rows felt it."""
+    test has no slack to act on at the cap; the support test acts at and off it."""
     report = search_offsets(SearchTask(d=d, m=m))
     c = report.counters
     assert (c.solutions_found, c.nodes_visited, c.pruned_by_bound, c.pruned_by_symmetry) == (
@@ -85,15 +87,61 @@ def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
 @pytest.mark.parametrize(
     "d, m",
     [(d, m) for d in range(4, 8) for m in range(max(5, d), d * d - d)]
-    + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 55), (9, 71)],
+    + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 55), (9, 71), (10, 89)],
 )
 def test_engine_matches_bound_only_oracle(d, m):
-    """Dropping candidates by slack and nodes by the sum of gains never
-    loses a solution the bound-only walk finds, nor adds one."""
+    """Dropping candidates by slack and nodes by the sum of gains or by
+    support never loses a solution the bound-only walk finds, nor adds one."""
     found, _ = bound_only_search_oracle(d, m)
     report = search_offsets(SearchTask(d=d, m=m))
     assert [s.offsets for s in report.solutions] == found
     assert report.exhausted
+
+
+def test_support_rule_never_prunes_a_coverable_node():
+    """``_unsupported`` never rejects live candidates of which some ``r``
+    cover every uncovered residue with their masks and pairwise differences,
+    checked by brute force over the ``r``-subsets on seeded small cases. The
+    rule must also reject a fair share of the cases, and enough cases must be
+    coverable, for the check to show anything."""
+    rng = random.Random(13)
+    cases, pruned, coverable_cases = 5000, 0, 0
+    for _ in range(cases):
+        m = rng.randint(10, 30)
+
+        def pm(t: int) -> int:
+            return 1 << t % m | 1 << -t % m
+
+        offsets = rng.sample(range(2, m - 1), rng.randint(0, 2))
+        shifts = [*FIXED_SHIFTS, *offsets]
+        covered = 1
+        for s, t in combinations(shifts, 2):
+            covered |= pm(s - t)
+        uncovered = (1 << m) - 1 & ~covered
+        rest = [w for w in range(2, m - 1) if w not in offsets]
+        live = []
+        for w in sorted(rng.sample(rest, rng.randint(2, min(6, len(rest))))):
+            mask = 0
+            for b in shifts:
+                mask |= pm(w - b)
+            live.append((w, mask, (mask & uncovered).bit_count()))
+        r = rng.randint(2, min(4, len(live)))
+
+        def cover(chosen) -> int:
+            c = 0
+            for _, mask, _ in chosen:
+                c |= mask
+            for (f1, _, _), (f2, _, _) in combinations(chosen, 2):
+                c |= pm(f2 - f1)
+            return c
+
+        coverable = any(not uncovered & ~cover(chosen) for chosen in combinations(live, r))
+        unsupported = search._unsupported(uncovered, live, r, m)
+        assert not (coverable and unsupported), (m, offsets, [w for w, _, _ in live], r)
+        pruned += unsupported
+        coverable_cases += coverable
+    assert pruned > cases // 5
+    assert coverable_cases > cases // 5
 
 
 @pytest.mark.parametrize("m", range(5, 12))
@@ -180,7 +228,7 @@ def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
         (5, 17, "phi 17: 3,11", 2, 0, 1),
         (6, 25, "phi 25: 2,7,11", 4, 1, 0),
         (7, 39, "phi 39: 3,12,17,32", 27, 19, 1),
-        (8, 45, "phi 45: 2,4,11,17,25", 147, 119, 0),
+        (8, 45, "phi 45: 2,4,11,17,25", 129, 109, 0),
     ],
 )
 def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
@@ -249,7 +297,7 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
     """A shard reads the pool's stop flag before its first placement and
     after every 64th, and gives up, unexhausted, once it reads it raised."""
     monkeypatch.setattr(search, "_stop_flag", None)
-    job = (SearchTask(d=9, m=71), 4, None)  # 1460 nodes when left to run
+    job = (SearchTask(d=9, m=71), 4, None)  # 642 nodes when left to run
     raised = threading.Event()
     raised.set()
     search._set_stop_flag(raised)
@@ -261,7 +309,7 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
     assert counters.budget_stops == 0
     search._set_stop_flag(threading.Event())
     counters, _, exhausted = search._run_shard(job)
-    assert (counters.nodes_visited, exhausted) == (1460, True)
+    assert (counters.nodes_visited, exhausted) == (642, True)
 
 
 def test_tables_built_once_per_modulus():
