@@ -52,20 +52,24 @@ def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     assert len(found) == solutions
 
 
+ENGINE_COUNTERS = [
+    (5, 19, 1, 6, 4, 36),
+    (6, 29, 0, 33, 29, 91),
+    (7, 41, 0, 143, 128, 190),
+    (8, 55, 0, 884, 798, 351),
+    (9, 71, 0, 4575, 4207, 595),
+    (5, 17, 4, 10, 3, 28),
+    (6, 25, 14, 98, 64, 66),
+    (8, 45, 210, 23421, 20906, 232),
+    (10, 89, 0, 29546, 27350, 946),
+    (11, 109, 0, 168660, 158032, 1431),
+]
+
+
 @pytest.mark.parametrize(
     "d, m, solutions, nodes, by_bound, by_symmetry",
-    [
-        (5, 19, 1, 6, 4, 36),
-        (6, 29, 0, 33, 29, 91),
-        (7, 41, 0, 143, 128, 190),
-        (8, 55, 0, 884, 798, 351),
-        (9, 71, 0, 4575, 4207, 595),
-        (5, 17, 4, 10, 3, 28),
-        (6, 25, 14, 98, 64, 66),
-        (8, 45, 210, 23421, 20906, 232),
-        (10, 89, 0, 29546, 27350, 946),
-        (11, 109, 0, 168660, 158032, 1431),
-    ],
+    ENGINE_COUNTERS,
+    ids=[f"{d}-{m}" for d, m, *_ in ENGINE_COUNTERS],
 )
 def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     """Exact work counts of the forward-checking engine: it is deterministic,
@@ -222,14 +226,18 @@ def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     assert [format_spec(s) for s in report.solutions] == [witness]
 
 
+ENGINE_FIND_FIRST_COUNTERS = [
+    (5, 17, "phi 17: 3,11", 2, 0, 1),
+    (6, 25, "phi 25: 2,7,11", 4, 1, 0),
+    (7, 39, "phi 39: 3,12,17,32", 27, 19, 1),
+    (8, 45, "phi 45: 2,4,11,17,25", 129, 109, 0),
+]
+
+
 @pytest.mark.parametrize(
     "d, m, witness, nodes, by_bound, by_symmetry",
-    [
-        (5, 17, "phi 17: 3,11", 2, 0, 1),
-        (6, 25, "phi 25: 2,7,11", 4, 1, 0),
-        (7, 39, "phi 39: 3,12,17,32", 27, 19, 1),
-        (8, 45, "phi 45: 2,4,11,17,25", 129, 109, 0),
-    ],
+    ENGINE_FIND_FIRST_COUNTERS,
+    ids=[f"{d}-{m}" for d, m, *_ in ENGINE_FIND_FIRST_COUNTERS],
 )
 def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     """Find-first reads shards in order and stops at the first one with a
