@@ -33,8 +33,15 @@ Pruning is:
   each uncovered residue must lie in a live candidate's mask or be
   ``+-(f2 - f1)`` for two live candidates. A node with ``r >= 2`` dies when
   more than ``r*(r-1)`` uncovered residues lie outside the union of the live
-  masks, or when one of those is no such difference (``_unsupported``). The
-  test holds at and off the cap;
+  masks, or when one of those is no such difference. The test holds at and
+  off the cap;
+* by the support of suffixes: a node's children from index ``i`` on take
+  all ``r`` of its offsets from the suffix ``live[i:]``, and a shorter
+  suffix has a smaller union and fewer differences. So once a suffix fails
+  the support test every later child fails it too, and the node's loop stops
+  there: children past the cut are never placed. ``_support_cut`` finds the
+  cut in one backward pass over the live list; the node itself dies when the
+  whole list fails, a cut at 0;
 * by the negation symmetry: a tuple and its negation mod ``m`` describe
   isomorphic graphs, so only canonical tuples (``circulant.canonicalize``)
   are kept, and candidates beyond ``m - a_1``, which would force a
@@ -120,10 +127,12 @@ class SearchCounters:
     """Work accounting.
 
     ``nodes_visited`` counts offset placements beyond the prefix; only live
-    candidates are placed. ``pruned_by_bound`` counts placed nodes that died
-    because too few live candidates remained to finish the tuple, their
-    largest gains fell short or they could not support the residues still
-    uncovered, so it never exceeds ``nodes_visited``, and
+    candidates before their node's support cut are placed, so the children
+    past the cut count in neither ``nodes_visited`` nor ``pruned_by_bound``.
+    ``pruned_by_bound`` counts placed nodes that died because too few live
+    candidates remained to finish the tuple, their largest gains fell short
+    or they could not support the residues still uncovered, so it never
+    exceeds ``nodes_visited``, and
     ``1 - pruned_by_bound / nodes_visited`` is the share of placed nodes
     that were leaves or went on to place a child. ``pruned_by_symmetry``
     counts the candidates beyond ``m - a_1`` (once per shard), the shard
@@ -211,29 +220,40 @@ def _pair_masks(m: int) -> list[int]:
     return [(1 << t) | (1 << (-t % m)) for t in range(m)]
 
 
-def _unsupported(uncovered: int, live: list, r: int, m: int) -> bool:
-    """True when no ``r`` of the ``live`` (candidate, mask, gain) triples can
-    cover ``uncovered``: each residue must lie in a chosen candidate's mask or
-    be ``+-(f2 - f1)`` for two chosen candidates ``f1 < f2``.
+def _support_cut(uncovered: int, live: list, r: int, m: int, count: int) -> int:
+    """How many of a node's first ``count`` children to place, when the node
+    has ``r`` offsets still to place from its ``live`` (candidate, mask, gain)
+    triples and ``uncovered`` is what they must cover. 0 means the node dies.
 
-    The ``r*(r-1)/2`` pairs cover at most ``r*(r-1)`` residues outside the
-    masks' union, and a residue ``t`` there needs two live values ``t`` or
-    ``m - t`` apart: offsets lie in ``[2, m-2]``, so ``0 < f2 - f1 < m`` and
-    ``f2 - f1 = +-t`` mod ``m`` means one of the two.
+    The support test: ``r`` candidates cover each residue with a chosen
+    mask or as ``+-(f2 - f1)`` for two chosen candidates ``f1 < f2``. The
+    ``r*(r-1)/2`` pairs cover at most ``r*(r-1)`` residues, so a candidate
+    set fails when more uncovered residues than that lie outside the union of
+    its masks, or when one of those is no difference ``+-(f2 - f1)`` of two
+    of its values.
+
+    The children from index ``i`` on take all ``r`` offsets from
+    ``live[i:]``, and a shorter suffix has a smaller union and fewer
+    differences, so once a suffix fails every later child fails too. One
+    backward pass grows the suffix from the last candidate, with its union
+    and its difference set: ``vals`` and ``negs`` hold the suffix's values
+    ``f`` and ``m - f``, and a new, smaller value ``w`` adds the residues
+    ``f - w`` and ``m - (f - w)``. The pass stops at the first suffix that
+    passes, from index ``count - 1`` down; every longer one passes too.
     """
-    union = vals = 0
-    for w, x, _ in live:
+    union = diffs = vals = negs = 0
+    most = r * (r - 1)
+    for i in range(len(live) - 1, -1, -1):
+        w, x, _ = live[i]
         union |= x
+        diffs |= vals >> w | negs << w
         vals |= 1 << w
-    outside = uncovered & ~union
-    if outside.bit_count() > r * (r - 1):
-        return True
-    while outside:
-        t = (outside & -outside).bit_length() - 1
-        if not (vals & (vals >> t) or vals & (vals >> (m - t))):
-            return True
-        outside &= ~(1 << t | 1 << (m - t))
-    return False
+        negs |= 1 << m - w
+        if i < count:
+            outside = uncovered & ~union
+            if outside.bit_count() <= most and not outside & ~diffs:
+                return i + 1
+    return 0
 
 
 def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
@@ -303,19 +323,22 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
                     for w, mw, _ in live[i + 1 :]
                     if (g := ((x := mw | pair[w - v]) & uncovered).bit_count()) >= least
                 ]
-                dead = len(child) < r
-                if not dead and r > 1:
-                    # Sum of gains, void with no slack, then support. With one
-                    # offset left every live candidate completes a cover.
+                # Only candidates followed by enough live ones to finish the tuple.
+                count = len(child) - r + 1
+                if count > 0 and r > 1:
+                    # Sum of gains, void with no slack, then support, which
+                    # also cuts the child's loop. With one offset left every
+                    # live candidate completes a cover.
                     if room > 0:
                         gains = sorted(g for _, _, g in child)
-                        dead = sum(gains[-r:]) + r * (r - 1) < missing
-                    dead = dead or _unsupported(uncovered, child, r, m)
-                if dead:
-                    counters.pruned_by_bound += 1
+                        if sum(gains[-r:]) + r * (r - 1) < missing:
+                            count = 0
+                    if count > 0:
+                        count = _support_cut(uncovered, child, r, m, count)
+                if count > 0:
+                    expand(child_covered, child, count)
                 else:
-                    # Only candidates followed by enough live ones to finish the tuple.
-                    expand(child_covered, child, len(child) - r + 1)
+                    counters.pruned_by_bound += 1
             shifts.pop()
 
     exhausted = True
@@ -478,8 +501,9 @@ def max_m(
 
     Scans downward with a find-first search per modulus, all run through
     one pool when ``workers > 1``, and stops at the first hit. Moduli below
-    the degree cannot host enough distinct offsets and are skipped. If a budget runs out before a modulus is settled the
-    scan stops and the result is marked inconclusive.
+    the degree cannot host enough distinct offsets and are skipped. If a
+    budget runs out before a modulus is settled the scan stops and the
+    result is marked inconclusive.
     """
     cap = max_m_upper_bound(d)
     if not 5 <= m_low <= m_high <= cap:

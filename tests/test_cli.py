@@ -176,7 +176,7 @@ TEXT_OUTPUTS = [
         ("search", "--d", "9", "--m", "65", "--first"),
         0,
         "1 solutions, partial\n  phi 65: 5,9,27,34,50,53\n"
-        "nodes 26991, bound prunes 25144, symmetry prunes 6\n",
+        "nodes 14627, bound prunes 12780, symmetry prunes 6\n",
     ),
     (
         ("max-m", "--d", "5"),

@@ -54,15 +54,15 @@ def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
 
 ENGINE_COUNTERS = [
     (5, 19, 1, 6, 4, 36),
-    (6, 29, 0, 33, 29, 91),
-    (7, 41, 0, 143, 128, 190),
-    (8, 55, 0, 884, 798, 351),
-    (9, 71, 0, 4575, 4207, 595),
+    (6, 29, 0, 24, 20, 91),
+    (7, 41, 0, 87, 72, 190),
+    (8, 55, 0, 434, 349, 351),
+    (9, 71, 0, 2142, 1775, 595),
     (5, 17, 4, 10, 3, 28),
-    (6, 25, 14, 98, 64, 66),
-    (8, 45, 210, 23421, 20906, 232),
-    (10, 89, 0, 29546, 27350, 946),
-    (11, 109, 0, 168660, 158032, 1431),
+    (6, 25, 14, 73, 39, 66),
+    (8, 45, 210, 13415, 10970, 232),
+    (10, 89, 0, 12411, 10217, 946),
+    (11, 109, 0, 67437, 56817, 1431),
 ]
 
 
@@ -102,50 +102,89 @@ def test_engine_matches_bound_only_oracle(d, m):
     assert report.exhausted
 
 
+def _support_case(rng: random.Random, fewest: int, most: int, spare: int):
+    """A seeded node: modulus, residues still uncovered, a sorted live list of
+    ``fewest`` to ``most`` (candidate, mask against the node's shifts, gain)
+    triples and the number ``r`` of offsets still to place, from 2 to 4 with
+    at least ``spare`` candidates to spare."""
+    m = rng.randint(10, 30)
+    offsets = rng.sample(range(2, m - 1), rng.randint(0, 2))
+    shifts = [*FIXED_SHIFTS, *offsets]
+    covered = 1
+    for s, t in combinations(shifts, 2):
+        covered |= 1 << (s - t) % m | 1 << (t - s) % m
+    uncovered = (1 << m) - 1 & ~covered
+    rest = [w for w in range(2, m - 1) if w not in offsets]
+    live = []
+    for w in sorted(rng.sample(rest, rng.randint(fewest, min(most, len(rest))))):
+        mask = 0
+        for b in shifts:
+            mask |= 1 << (w - b) % m | 1 << (b - w) % m
+        live.append((w, mask, (mask & uncovered).bit_count()))
+    return m, uncovered, live, rng.randint(2, min(4, len(live) - spare))
+
+
+def _covers(chosen, uncovered: int, m: int) -> bool:
+    """Whether the chosen triples cover ``uncovered`` with their masks and the
+    residues ``+-(f2 - f1)`` of their pairs."""
+    c = 0
+    for _, mask, _ in chosen:
+        c |= mask
+    for (f1, _, _), (f2, _, _) in combinations(chosen, 2):
+        c |= 1 << (f2 - f1) % m | 1 << (f1 - f2) % m
+    return not uncovered & ~c
+
+
 def test_support_rule_never_prunes_a_coverable_node():
-    """``_unsupported`` never rejects live candidates of which some ``r``
-    cover every uncovered residue with their masks and pairwise differences,
-    checked by brute force over the ``r``-subsets on seeded small cases. The
-    rule must also reject a fair share of the cases, and enough cases must be
-    coverable, for the check to show anything."""
+    """``_support_cut`` never kills a node (returns 0) when some ``r`` of its
+    live candidates cover every uncovered residue with their masks and
+    pairwise differences, checked by brute force over the ``r``-subsets on
+    seeded small cases. The rule must also kill a fair share of the nodes,
+    and enough nodes must be coverable, for the check to show anything."""
     rng = random.Random(13)
     cases, pruned, coverable_cases = 5000, 0, 0
     for _ in range(cases):
-        m = rng.randint(10, 30)
-
-        def pm(t: int) -> int:
-            return 1 << t % m | 1 << -t % m
-
-        offsets = rng.sample(range(2, m - 1), rng.randint(0, 2))
-        shifts = [*FIXED_SHIFTS, *offsets]
-        covered = 1
-        for s, t in combinations(shifts, 2):
-            covered |= pm(s - t)
-        uncovered = (1 << m) - 1 & ~covered
-        rest = [w for w in range(2, m - 1) if w not in offsets]
-        live = []
-        for w in sorted(rng.sample(rest, rng.randint(2, min(6, len(rest))))):
-            mask = 0
-            for b in shifts:
-                mask |= pm(w - b)
-            live.append((w, mask, (mask & uncovered).bit_count()))
-        r = rng.randint(2, min(4, len(live)))
-
-        def cover(chosen) -> int:
-            c = 0
-            for _, mask, _ in chosen:
-                c |= mask
-            for (f1, _, _), (f2, _, _) in combinations(chosen, 2):
-                c |= pm(f2 - f1)
-            return c
-
-        coverable = any(not uncovered & ~cover(chosen) for chosen in combinations(live, r))
-        unsupported = search._unsupported(uncovered, live, r, m)
-        assert not (coverable and unsupported), (m, offsets, [w for w, _, _ in live], r)
+        m, uncovered, live, r = _support_case(rng, 2, 6, 0)
+        coverable = any(_covers(chosen, uncovered, m) for chosen in combinations(live, r))
+        unsupported = search._support_cut(uncovered, live, r, m, 1) == 0
+        assert not (coverable and unsupported), (m, live, r)
         pruned += unsupported
         coverable_cases += coverable
     assert pruned > cases // 5
     assert coverable_cases > cases // 5
+
+
+def test_support_cut_never_drops_a_coverable_suffix():
+    """A node's children from index ``i`` on take all ``r`` offsets from the
+    suffix ``live[i:]``, and ``_support_cut`` places only the children before
+    the first suffix that fails the support test. On seeded small nodes,
+    brute force over the ``r``-subsets shows that no suffix from the cut on
+    holds a cover. Each suffix tested alone shows that the test is monotone,
+    so that once one suffix fails every shorter one fails too, and that the
+    cut is the first failing suffix. Enough cases must cut inside the loop,
+    and enough must place a last child that still covers, for the check to
+    show anything."""
+    rng = random.Random(14)
+    cases, inside, tight = 3000, 0, 0
+    for _ in range(cases):
+        m, uncovered, live, r = _support_case(rng, 3, 8, 1)
+        count = len(live) - r + 1
+        cut = search._support_cut(uncovered, live, r, m, count)
+        # first[i]: whether some cover's smallest candidate is live[i].
+        first = [False] * count
+        for chosen in combinations(range(len(live)), r):
+            if chosen[0] < count and _covers([live[j] for j in chosen], uncovered, m):
+                first[chosen[0]] = True
+        case = (m, live, r, cut)
+        assert 0 <= cut <= count, case
+        assert not any(first[cut:]), case
+        fails = [search._support_cut(uncovered, live[i:], r, m, 1) == 0 for i in range(count)]
+        assert fails == sorted(fails), case
+        assert cut == (fails.index(True) if True in fails else count), case
+        inside += 0 < cut < count
+        tight += cut > 0 and first[cut - 1]
+    assert inside > cases // 4
+    assert tight > cases // 4
 
 
 @pytest.mark.parametrize("m", range(5, 12))
@@ -229,8 +268,8 @@ def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
 ENGINE_FIND_FIRST_COUNTERS = [
     (5, 17, "phi 17: 3,11", 2, 0, 1),
     (6, 25, "phi 25: 2,7,11", 4, 1, 0),
-    (7, 39, "phi 39: 3,12,17,32", 27, 19, 1),
-    (8, 45, "phi 45: 2,4,11,17,25", 129, 109, 0),
+    (7, 39, "phi 39: 3,12,17,32", 17, 9, 1),
+    (8, 45, "phi 45: 2,4,11,17,25", 72, 52, 0),
 ]
 
 
@@ -261,7 +300,7 @@ def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry)
 def test_find_first_budget_worker_determinism():
     """Budget-stopped shards before the deciding one: the same report at any
     worker count."""
-    task = SearchTask(d=8, m=45, mode="find-first", node_budget=5000)
+    task = SearchTask(d=8, m=45, mode="find-first", node_budget=2982)
     report = search_offsets(task)
     assert report.counters.budget_stops > 0
     assert len(report.solutions) == 1
@@ -305,7 +344,7 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
     """A shard reads the pool's stop flag before its first placement and
     after every 64th, and gives up, unexhausted, once it reads it raised."""
     monkeypatch.setattr(search, "_stop_flag", None)
-    job = (SearchTask(d=9, m=71), 4, None)  # 642 nodes when left to run
+    job = (SearchTask(d=9, m=71), 4, None)  # 306 nodes when left to run
     raised = threading.Event()
     raised.set()
     search._set_stop_flag(raised)
@@ -317,7 +356,7 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
     assert counters.budget_stops == 0
     search._set_stop_flag(threading.Event())
     counters, _, exhausted = search._run_shard(job)
-    assert (counters.nodes_visited, exhausted) == (642, True)
+    assert (counters.nodes_visited, exhausted) == (306, True)
 
 
 def test_tables_built_once_per_modulus():
