@@ -36,12 +36,10 @@ Pruning is:
   masks, or when one of those is no such difference. The test holds at and
   off the cap;
 * by the support of suffixes: a node's children from index ``i`` on take
-  all ``r`` of its offsets from the suffix ``live[i:]``, and a shorter
-  suffix has a smaller union and fewer differences. So once a suffix fails
-  the support test every later child fails it too, and the node's loop stops
-  there: children past the cut are never placed. ``_support_cut`` finds the
-  cut in one backward pass over the live list; the node itself dies when the
-  whole list fails, a cut at 0;
+  all ``r`` of its offsets from ``live[i:]``, and a shorter suffix has a
+  smaller union and fewer differences. So the node's loop stops at the
+  first suffix that fails the support test, and the children past that cut
+  are never placed (``_support_cut``, which also runs the node's own test);
 * by the negation symmetry: a tuple and its negation mod ``m`` describe
   isomorphic graphs, so only canonical tuples (``circulant.canonicalize``)
   are kept, and candidates beyond ``m - a_1``, which would force a
@@ -221,25 +219,20 @@ def _pair_masks(m: int) -> list[int]:
 
 
 def _support_cut(uncovered: int, live: list, r: int, m: int, count: int) -> int:
-    """How many of a node's first ``count`` children to place, when the node
-    has ``r`` offsets still to place from its ``live`` (candidate, mask, gain)
-    triples and ``uncovered`` is what they must cover. 0 means the node dies.
+    """How many of a node's first ``count`` children to place; 0 means the
+    node dies. The node has ``r`` offsets still to place from its ``live``
+    (candidate, mask, gain) triples, and they must cover ``uncovered``.
 
-    The support test: ``r`` candidates cover each residue with a chosen
-    mask or as ``+-(f2 - f1)`` for two chosen candidates ``f1 < f2``. The
-    ``r*(r-1)/2`` pairs cover at most ``r*(r-1)`` residues, so a candidate
-    set fails when more uncovered residues than that lie outside the union of
-    its masks, or when one of those is no difference ``+-(f2 - f1)`` of two
-    of its values.
-
-    The children from index ``i`` on take all ``r`` offsets from
-    ``live[i:]``, and a shorter suffix has a smaller union and fewer
-    differences, so once a suffix fails every later child fails too. One
-    backward pass grows the suffix from the last candidate, with its union
-    and its difference set: ``vals`` and ``negs`` hold the suffix's values
-    ``f`` and ``m - f``, and a new, smaller value ``w`` adds the residues
-    ``f - w`` and ``m - (f - w)``. The pass stops at the first suffix that
-    passes, from index ``count - 1`` down; every longer one passes too.
+    A candidate set fails the support test when more than ``r*(r-1)``
+    uncovered residues lie outside the union of its masks, or when one of
+    those is no difference ``+-(f2 - f1)`` of two of its values. Child ``i``
+    and every later one take all ``r`` offsets from ``live[i:]``, and the
+    test is monotone in ``i``. One backward pass grows the suffix from the
+    last candidate with its union and difference set (``vals`` and ``negs``
+    hold its values ``f`` and ``m - f``; a new, smaller value ``w`` adds
+    ``f - w`` and ``m - (f - w)``) and stops at the first suffix that
+    passes, from index ``count - 1`` down. Offsets lie in ``[2, m-2]``, so
+    ``0 < f - w < m`` and every difference is one of the ``m`` bits.
     """
     union = diffs = vals = negs = 0
     most = r * (r - 1)

@@ -74,7 +74,8 @@ ENGINE_COUNTERS = [
 def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     """Exact work counts of the forward-checking engine: it is deterministic,
     so any change in pruning or enumeration order shows here. The sum-of-gains
-    test has no slack to act on at the cap; the support test acts at and off it."""
+    test has no slack to act on at the cap; the support test and the suffix
+    cut act at and off it."""
     report = search_offsets(SearchTask(d=d, m=m))
     c = report.counters
     assert (c.solutions_found, c.nodes_visited, c.pruned_by_bound, c.pruned_by_symmetry) == (
@@ -173,7 +174,7 @@ def test_support_cut_never_drops_a_coverable_suffix():
         # first[i]: whether some cover's smallest candidate is live[i].
         first = [False] * count
         for chosen in combinations(range(len(live)), r):
-            if chosen[0] < count and _covers([live[j] for j in chosen], uncovered, m):
+            if _covers([live[j] for j in chosen], uncovered, m):
                 first[chosen[0]] = True
         case = (m, live, r, cut)
         assert 0 <= cut <= count, case
@@ -300,6 +301,8 @@ def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry)
 def test_find_first_budget_worker_determinism():
     """Budget-stopped shards before the deciding one: the same report at any
     worker count."""
+    # 71 nodes for each of the 42 shard values: the first shard, which holds
+    # the smallest witness, needs 72, so a later shard decides.
     task = SearchTask(d=8, m=45, mode="find-first", node_budget=2982)
     report = search_offsets(task)
     assert report.counters.budget_stops > 0
