@@ -52,24 +52,20 @@ def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     assert len(found) == solutions
 
 
-ENGINE_COUNTERS = [
-    (5, 19, 1, 6, 4, 36),
-    (6, 29, 0, 24, 20, 91),
-    (7, 41, 0, 87, 72, 190),
-    (8, 55, 0, 434, 349, 351),
-    (9, 71, 0, 2142, 1775, 595),
-    (5, 17, 4, 10, 3, 28),
-    (6, 25, 14, 73, 39, 66),
-    (8, 45, 210, 13415, 10970, 232),
-    (10, 89, 0, 12411, 10217, 946),
-    (11, 109, 0, 67437, 56817, 1431),
-]
-
-
 @pytest.mark.parametrize(
     "d, m, solutions, nodes, by_bound, by_symmetry",
-    ENGINE_COUNTERS,
-    ids=[f"{d}-{m}" for d, m, *_ in ENGINE_COUNTERS],
+    [
+        (5, 19, 1, 6, 4, 36),
+        (6, 29, 0, 24, 20, 91),
+        (7, 41, 0, 87, 72, 190),
+        (8, 55, 0, 434, 349, 351),
+        (9, 71, 0, 2142, 1775, 595),
+        (5, 17, 4, 10, 3, 28),
+        (6, 25, 14, 73, 39, 66),
+        (8, 45, 210, 13415, 10970, 232),
+        (10, 89, 0, 12411, 10217, 946),
+        (11, 109, 0, 67437, 56817, 1431),
+    ],
 )
 def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     """Exact work counts of the forward-checking engine: it is deterministic,
@@ -266,18 +262,14 @@ def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     assert [format_spec(s) for s in report.solutions] == [witness]
 
 
-ENGINE_FIND_FIRST_COUNTERS = [
-    (5, 17, "phi 17: 3,11", 2, 0, 1),
-    (6, 25, "phi 25: 2,7,11", 4, 1, 0),
-    (7, 39, "phi 39: 3,12,17,32", 17, 9, 1),
-    (8, 45, "phi 45: 2,4,11,17,25", 72, 52, 0),
-]
-
-
 @pytest.mark.parametrize(
     "d, m, witness, nodes, by_bound, by_symmetry",
-    ENGINE_FIND_FIRST_COUNTERS,
-    ids=[f"{d}-{m}" for d, m, *_ in ENGINE_FIND_FIRST_COUNTERS],
+    [
+        (5, 17, "phi 17: 3,11", 2, 0, 1),
+        (6, 25, "phi 25: 2,7,11", 4, 1, 0),
+        (7, 39, "phi 39: 3,12,17,32", 17, 9, 1),
+        (8, 45, "phi 45: 2,4,11,17,25", 72, 52, 0),
+    ],
 )
 def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     """Find-first reads shards in order and stops at the first one with a
