@@ -52,20 +52,24 @@ def test_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     assert len(found) == solutions
 
 
+ENGINE_COUNTERS = [
+    (5, 19, 1, 6, 4, 36),
+    (6, 29, 0, 24, 20, 91),
+    (7, 41, 0, 87, 72, 190),
+    (8, 55, 0, 434, 349, 351),
+    (9, 71, 0, 2142, 1775, 595),
+    (5, 17, 4, 10, 3, 28),
+    (6, 25, 14, 73, 39, 66),
+    (8, 45, 210, 13415, 10970, 232),
+    (10, 89, 0, 12411, 10217, 946),
+    (11, 109, 0, 67437, 56817, 1431),
+]
+
+
 @pytest.mark.parametrize(
     "d, m, solutions, nodes, by_bound, by_symmetry",
-    [
-        (5, 19, 1, 6, 4, 36),
-        (6, 29, 0, 24, 20, 91),
-        (7, 41, 0, 87, 72, 190),
-        (8, 55, 0, 434, 349, 351),
-        (9, 71, 0, 2142, 1775, 595),
-        (5, 17, 4, 10, 3, 28),
-        (6, 25, 14, 73, 39, 66),
-        (8, 45, 210, 13415, 10970, 232),
-        (10, 89, 0, 12411, 10217, 946),
-        (11, 109, 0, 67437, 56817, 1431),
-    ],
+    ENGINE_COUNTERS,
+    ids=[f"d{d}-m{m}" for d, m, *_ in ENGINE_COUNTERS],
 )
 def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     """Exact work counts of the forward-checking engine: it is deterministic,
