@@ -6,9 +6,14 @@ one integer bitmask per left vertex (bit ``j`` set when ``(L, i) ~ (R, j)``)
 together with the materialized transpose, so neighborhood unions, BFS
 frontiers and common-neighbor counts are single integer operations.
 
-``bfs_distances`` answers per-source questions. ``diameter`` needs no
-source: it runs one all-sources sweep in which every vertex holds the set
-of vertices within distance ``t`` as one integer, and each sweep ORs in the
+One breadth-first walk, ``_layers``, serves ``bfs_distances`` and ``girth``:
+it yields each layer from a source as a bitmask, with the layer before it.
+
+A vertex's integer id is its position in ``vertices()``: left ``i`` is ``i``
+and right ``j`` is ``n_left + j``. ``adjacency`` lists neighbours by id for
+``diameter`` and ``structure``. ``diameter`` needs no source: it runs one
+all-sources sweep in which every vertex holds the set of ids within
+distance ``t`` as one integer, and each sweep ORs in the
 neighbours' sets. A graph of diameter ``D`` with ``E`` edges costs
 ``(D + 1) * 2E`` integer ORs, about 8,400 for a 190-vertex 11-regular graph.
 
@@ -164,41 +169,37 @@ class DistanceProfile:
         return self.left_distances[idx] if side == LEFT else self.right_distances[idx]
 
 
+def _layers(g: BipartiteGraph, source: Vertex) -> Iterator[tuple[int, bool, int, int]]:
+    """Yield ``(level, on_left, layer, prev)`` for each breadth-first layer
+    from ``source``, level 0 first: ``layer`` holds the vertices at distance
+    ``level``, on the left when ``on_left``, and ``prev`` the layer before
+    (0 at level 0). A layer's neighbours lie in the layers just before and
+    after it, so each layer is the last one's neighbourhood less ``prev``.
+    """
+    side, idx = source
+    on_left = side == LEFT
+    rows, other_rows = (g.left_rows, g.right_rows) if on_left else (g.right_rows, g.left_rows)
+    level, layer, prev = 0, 1 << idx, 0
+    while layer:
+        yield level, on_left, layer, prev
+        reached = 0
+        for k in bits(layer):
+            reached |= rows[k]
+        level, layer, prev = level + 1, reached & ~prev, layer
+        rows, other_rows = other_rows, rows
+        on_left = not on_left
+
+
 def bfs_distances(g: BipartiteGraph, source: Vertex) -> DistanceProfile:
     """Breadth-first distances from ``source``; unreachable vertices get ``INF``."""
-    side, idx = g._check_vertex(source)
+    side, _ = g._check_vertex(source)
     left_dist = [INF] * g.n_left
     right_dist = [INF] * g.n_right
-    if side == LEFT:
-        frontier, on_left = 1 << idx, True
-        left_dist[idx] = 0
-    else:
-        frontier, on_left = 1 << idx, False
-        right_dist[idx] = 0
-    seen_left = frontier if on_left else 0
-    seen_right = 0 if on_left else frontier
-    dist = 0
-    while frontier:
-        dist += 1
-        if on_left:
-            reached = 0
-            for i in bits(frontier):
-                reached |= g.left_rows[i]
-            frontier = reached & ~seen_right
-            seen_right |= frontier
-            for j in bits(frontier):
-                right_dist[j] = dist
-        else:
-            reached = 0
-            for j in bits(frontier):
-                reached |= g.right_rows[j]
-            frontier = reached & ~seen_left
-            seen_left |= frontier
-            for i in bits(frontier):
-                left_dist[i] = dist
-        on_left = not on_left
-    finite = [x for x in left_dist + right_dist if x != INF]
-    ecc = max(finite) if finite else 0
+    for level, on_left, layer, _ in _layers(g, source):
+        dist = left_dist if on_left else right_dist
+        for k in bits(layer):
+            dist[k] = level
+    ecc = max(x for x in left_dist + right_dist if x != INF)
     same_side = left_dist if side == LEFT else right_dist
     at_two = frozenset(k for k, x in enumerate(same_side) if x == 2)
     return DistanceProfile(
@@ -210,12 +211,18 @@ def bfs_distances(g: BipartiteGraph, source: Vertex) -> DistanceProfile:
     )
 
 
+def adjacency(g: BipartiteGraph) -> list[list[int]]:
+    """Neighbours by integer id, a vertex's position in ``g.vertices()``."""
+    left = [[g.n_left + j for j in bits(row)] for row in g.left_rows]
+    return left + [list(bits(row)) for row in g.right_rows]
+
+
 def diameter(g: BipartiteGraph) -> float:
     """Largest eccentricity; ``INF`` for disconnected graphs.
 
-    One sweep for all sources at once: ``reach[v]`` is the set of vertices
-    within distance ``t`` of ``v``, one bit per vertex (left vertices first),
-    and a sweep widens every set to the union of its neighbours' sets. The
+    One sweep for all sources at once: ``reach[v]`` is the set of vertex ids
+    (see ``adjacency``) within distance ``t`` of ``v``, one bit per id, and a
+    sweep widens every set to the union of its neighbours' sets. The
     diameter is the first ``t`` at which every set is full; a sweep that
     changes nothing before then means the graph is disconnected. Cost:
     ``(D + 1) * 2E`` integer ORs for diameter ``D`` and ``E`` edges.
@@ -223,8 +230,7 @@ def diameter(g: BipartiteGraph) -> float:
     if g.order == 0:
         raise ValueError("diameter of the empty graph is undefined")
     full = (1 << g.order) - 1
-    neighbors = [[g.n_left + j for j in bits(row)] for row in g.left_rows]
-    neighbors += [list(bits(row)) for row in g.right_rows]
+    neighbors = adjacency(g)
     reach = [1 << v for v in range(g.order)]
     t = 0
     while True:
@@ -242,52 +248,23 @@ def diameter(g: BipartiteGraph) -> float:
 
 
 def girth(g: BipartiteGraph) -> float:
-    """Length of a shortest cycle; ``INF`` for forests. Always even here."""
+    """Length of a shortest cycle; ``INF`` for forests. Always even here.
+
+    A vertex first reached from two predecessors at some level closes a
+    walk of length ``2 * level``, which contains a cycle no longer than that.
+    """
     best = INF
     for v in g.vertices():
-        found = _shortest_cycle_through(g, v, best)
-        if found < best:
-            best = found
-            if best == 4:
+        for level, on_left, layer, prev in _layers(g, v):
+            rows = g.left_rows if on_left else g.right_rows
+            if any((rows[k] & prev).bit_count() >= 2 for k in bits(layer)):
+                best = 2 * level
                 break
+            if 2 * (level + 1) >= best:
+                break
+        if best == 4:
+            break
     return best
-
-
-def _shortest_cycle_through(g: BipartiteGraph, v: Vertex, cap: float) -> float:
-    # BFS from v; the first level at which a new vertex is reached from two
-    # distinct predecessors witnesses a closed walk of length 2*level, which
-    # contains a cycle no longer than that.
-    side, idx = v
-    frontier = 1 << idx
-    on_left = side == LEFT
-    seen_left = frontier if on_left else 0
-    seen_right = 0 if on_left else frontier
-    level = 0
-    while frontier:
-        level += 1
-        if 2 * level >= cap:
-            return INF
-        prev = frontier
-        if on_left:
-            reached = 0
-            for i in bits(frontier):
-                reached |= g.left_rows[i]
-            frontier = reached & ~seen_right
-            seen_right |= frontier
-            for j in bits(frontier):
-                if (g.right_rows[j] & prev).bit_count() >= 2:
-                    return 2 * level
-        else:
-            reached = 0
-            for j in bits(frontier):
-                reached |= g.right_rows[j]
-            frontier = reached & ~seen_left
-            seen_left |= frontier
-            for i in bits(frontier):
-                if (g.left_rows[i] & prev).bit_count() >= 2:
-                    return 2 * level
-        on_left = not on_left
-    return INF
 
 
 @dataclass(frozen=True)

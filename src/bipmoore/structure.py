@@ -21,6 +21,10 @@ edge counts. One list-based union-find over integer vertex ids joins both
 the labeled unions and the repeat relation, and each component's vertex and
 edge sets are built once, at the end.
 ``tests/oracles.py`` keeps the walk over cycle objects this replaced.
+
+Integer vertex ids here are those of ``graphs.adjacency``: a vertex's
+position in ``g.vertices()``, left ``i`` and right ``n_left + j``. Every id
+is turned back into a ``Vertex`` by indexing that list.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .bounds import moore_bound
-from .graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
+from .graphs import LEFT, RIGHT, BipartiteGraph, Vertex, adjacency, bits
 
 
 class BudgetError(RuntimeError):
@@ -113,7 +117,7 @@ def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
     n_left = g.n_left
     rows = g.left_rows
     pairs: list[_Pair] = []
-    # keyed by integer id (left i, right n_left + j) in first-visit order
+    # keyed by integer id in first-visit order
     counts: dict[int, int] = {}
     get = counts.get
     for a in range(n_left):
@@ -148,9 +152,8 @@ def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
             for j in js[1:]:
                 rj = n_left + j
                 counts[rj] = get(rj, 0) + c - 1
-    per_vertex_count = {
-        ((LEFT, x) if x < n_left else (RIGHT, x - n_left)): count for x, count in counts.items()
-    }
+    vertex = list(g.vertices())
+    per_vertex_count = {vertex[x]: count for x, count in counts.items()}
     return ShortCycleSet(pairs=tuple(pairs), per_vertex_count=per_vertex_count)
 
 
@@ -195,14 +198,14 @@ def repeat_structure(g: BipartiteGraph, cycles: ShortCycleSet) -> RepeatStructur
     """Opposite vertices of a cycle are repeats: each left pair is joined,
     and so are all common neighbors of one pair. Sets ordered by least vertex."""
     n_left = g.n_left
-    parent = list(range(n_left + g.n_right))
+    parent = list(range(g.order))
     for a, b, js in cycles.pairs:
         _join(parent, [a, b])
         _join(parent, [n_left + j for j in js])
+    vertex_id = {v: x for x, v in enumerate(g.vertices())}
     members: dict[int, set[Vertex]] = {}
     for v in cycles.per_vertex_count:
-        x = v[1] if v[0] == LEFT else n_left + v[1]
-        members.setdefault(_root(parent, x), set()).add(v)
+        members.setdefault(_root(parent, vertex_id[v]), set()).add(v)
     sets = sorted((frozenset(s) for s in members.values()), key=min)
     return RepeatStructure(minimal_closed_sets=tuple(sets))
 
@@ -404,9 +407,9 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
     recognize their components. Total on any bipartite input; components that
     fail recognition are reported unrecognized, never raised.
 
-    The work is keyed by left pair (see the module docstring). Vertex ids are
-    left ``i`` and right ``n_left + j``; the union-find holds one block of
-    ids per label, since a vertex may lie on cycles of several labels.
+    The work is keyed by left pair (see the module docstring). The
+    union-find holds one block of vertex ids per label, since a vertex may
+    lie on cycles of several labels.
     """
     cycle_set = short_cycles(g)
     pairs = cycle_set.pairs
@@ -473,7 +476,7 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
         indices.extend(range(len(labels), len(labels) + count))
         labels.extend([_LABELS[lab]] * count)
 
-    vertex = [(LEFT, i) for i in range(n_left)] + [(RIGHT, j) for j in range(n_right)]
+    vertex = list(g.vertices())
     built = [
         [
             (
@@ -762,15 +765,6 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
 # ---------------------------------------------------------------------------
 
 
-def _combined_adjacency(g: BipartiteGraph) -> list[list[int]]:
-    adj: list[list[int]] = []
-    for i in range(g.n_left):
-        adj.append([g.n_left + j for j in bits(g.left_rows[i])])
-    for j in range(g.n_right):
-        adj.append(list(bits(g.right_rows[j])))
-    return adj
-
-
 def _refine(
     adj1: list[list[int]], adj2: list[list[int]], colors1: list[int], colors2: list[int]
 ) -> tuple[list[int], list[int]] | None:
@@ -836,28 +830,6 @@ def _pair_invariant(g: BipartiteGraph) -> tuple:
     return tuple(sorted((side_hist(g.left_rows), side_hist(g.right_rows))))
 
 
-def _orientation_map(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Vertex] | None:
-    if (g1.n_left, g1.n_right) != (g2.n_left, g2.n_right):
-        return None
-    if sorted(r.bit_count() for r in g1.left_rows) != sorted(r.bit_count() for r in g2.left_rows):
-        return None
-    if sorted(r.bit_count() for r in g1.right_rows) != sorted(r.bit_count() for r in g2.right_rows):
-        return None
-    adj1 = _combined_adjacency(g1)
-    adj2 = _combined_adjacency(g2)
-    colors1 = [0] * g1.n_left + [1] * g1.n_right
-    colors2 = [0] * g2.n_left + [1] * g2.n_right
-    mapping = _match(adj1, adj2, colors1, colors2)
-    if mapping is None:
-        return None
-    out: dict[Vertex, Vertex] = {}
-    for v, w in enumerate(mapping):
-        side_v = (LEFT, v) if v < g1.n_left else (RIGHT, v - g1.n_left)
-        side_w = (LEFT, w) if w < g2.n_left else (RIGHT, w - g2.n_left)
-        out[side_v] = side_w
-    return out
-
-
 #: Largest vertex count ``find_isomorphism`` accepts.
 MAX_ISO_ORDER = 500
 
@@ -865,9 +837,11 @@ MAX_ISO_ORDER = 500
 def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Vertex] | None:
     """Exact isomorphism witness (vertex bijection), or None.
 
-    Uses iterated color refinement with individualization backtracking; both
-    side orientations are tried, so side-swapped matches are found. Instances
-    above ``MAX_ISO_ORDER`` vertices are refused.
+    Uses iterated color refinement with individualization backtracking over
+    ``graphs.adjacency`` ids. The sides start as two colors, and ``g2`` is
+    tried with its sides kept, then swapped, so side-swapped matches are
+    found; the first refinement round compares the side sizes and degrees.
+    Instances above ``MAX_ISO_ORDER`` vertices are refused.
     """
     if g1.order > MAX_ISO_ORDER or g2.order > MAX_ISO_ORDER:
         raise BudgetError(f"isomorphism capped at {MAX_ISO_ORDER} vertices")
@@ -875,13 +849,13 @@ def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
         return None
     if _pair_invariant(g1) != _pair_invariant(g2):
         return None
-    direct = _orientation_map(g1, g2)
-    if direct is not None:
-        return direct
-    swapped = _orientation_map(g1, g2.transpose())
-    if swapped is not None:
-        flip = {LEFT: RIGHT, RIGHT: LEFT}
-        return {v: (flip[w[0]], w[1]) for v, w in swapped.items()}
+    adj1, adj2 = adjacency(g1), adjacency(g2)
+    colors1 = [0] * g1.n_left + [1] * g1.n_right
+    for left2, right2 in ((0, 1), (1, 0)):
+        mapping = _match(adj1, adj2, colors1, [left2] * g2.n_left + [right2] * g2.n_right)
+        if mapping is not None:
+            vertex2 = list(g2.vertices())
+            return {v: vertex2[w] for v, w in zip(g1.vertices(), mapping)}
     return None
 
 
@@ -925,10 +899,12 @@ def check_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> IsoCheck:
 def verify_isomorphism(
     g1: BipartiteGraph, g2: BipartiteGraph, mapping: dict[Vertex, Vertex]
 ) -> bool:
-    """Independent edge-by-edge validation of a claimed isomorphism."""
-    if len(mapping) != g1.order or len(set(mapping.values())) != g2.order:
+    """Independent edge-by-edge validation of a claimed isomorphism: the
+    mapping must take exactly the vertices of ``g1`` onto exactly those of
+    ``g2`` and every edge onto an edge."""
+    if set(mapping) != set(g1.vertices()) or set(mapping.values()) != set(g2.vertices()):
         return False
-    if g1.edge_count != g2.edge_count:
+    if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return False
     for i in range(g1.n_left):
         u = mapping[(LEFT, i)]

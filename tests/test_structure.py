@@ -695,6 +695,15 @@ def test_verify_isomorphism_rejects_bad_maps():
     broken = dict(identity)
     broken[(LEFT, 0)], broken[(LEFT, 1)] = broken[(LEFT, 1)], broken[(LEFT, 0)]
     assert not verify_isomorphism(g1, g2, broken)
+    # (L, -1) indexes the same row as (L, 1), but it is no vertex of g2
+    edges = BipartiteGraph.from_neighbor_lists([[0], [1]], 2)
+    identity = {v: v for v in edges.vertices()}
+    assert verify_isomorphism(edges, edges, identity)
+    assert not verify_isomorphism(edges, edges, {**identity, (LEFT, 1): (LEFT, -1)})
+    # a key outside g1 is a wrong answer, not an error
+    stray = {**identity, (LEFT, 2): (LEFT, 1)}
+    del stray[(LEFT, 1)]
+    assert not verify_isomorphism(edges, edges, stray)
 
 
 def test_iso_budget_cap():
