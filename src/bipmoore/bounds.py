@@ -33,6 +33,8 @@ class DefectRecord:
 def defect(d: int, diam: int, order: int) -> DefectRecord:
     """How far ``order`` falls below the bipartite Moore bound for (d, diam)."""
     bound = moore_bound(d, diam)
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     if order > bound:
         raise ValueError(f"order {order} exceeds the Moore bound {bound} for ({d}, {diam})")
     return DefectRecord(d=d, diam=diam, order=order, moore_bound=bound, defect=bound - order)

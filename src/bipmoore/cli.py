@@ -328,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate full-coverage offset tuples")
     p.add_argument("--d", type=_degree, required=True)
     p.add_argument("--m", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--all", action="store_true", help="find all solutions (default)")
-    mode.add_argument("--first", action="store_true", help="stop at the first solution in shard order")
+    p.add_argument("--first", action="store_true", help="stop at the first solution in shard order")
     p.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
     p.add_argument("--budget", type=int, help="node budget, split across shards")
     p.add_argument("--prefix", help="comma-separated fixed leading offsets")

@@ -37,6 +37,9 @@ def test_defect_examples():
     assert defect(4, 3, 26).defect == 0
     with pytest.raises(ValueError):
         defect(4, 3, 27)
+    for order in (0, -5):
+        with pytest.raises(ValueError, match="order must be at least 1"):
+            defect(7, 3, order)
 
 
 def test_max_m_upper_bound_values():

@@ -40,6 +40,13 @@ def test_bound_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_bound_rejects_order_below_1(capsys):
+    code, out, err = run(capsys, "bound", "7", "3", "--order", "-5")
+    assert code == 2
+    assert out == ""
+    assert "order must be at least 1" in err
+
+
 def test_build_and_check_round_trip(tmp_path, capsys):
     out_file = tmp_path / "phi11_4.adj"
     code, out, _ = run(capsys, "build", "--spec", "phi 11: 4", "--out", str(out_file))
