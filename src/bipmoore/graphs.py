@@ -177,17 +177,14 @@ def _layers(g: BipartiteGraph, source: Vertex) -> Iterator[tuple[int, bool, int,
     after it, so each layer is the last one's neighbourhood less ``prev``.
     """
     side, idx = source
-    on_left = side == LEFT
-    rows, other_rows = (g.left_rows, g.right_rows) if on_left else (g.right_rows, g.left_rows)
-    level, layer, prev = 0, 1 << idx, 0
+    level, on_left, layer, prev = 0, side == LEFT, 1 << idx, 0
     while layer:
         yield level, on_left, layer, prev
+        rows = g.left_rows if on_left else g.right_rows
         reached = 0
         for k in bits(layer):
             reached |= rows[k]
-        level, layer, prev = level + 1, reached & ~prev, layer
-        rows, other_rows = other_rows, rows
-        on_left = not on_left
+        level, on_left, layer, prev = level + 1, not on_left, reached & ~prev, layer
 
 
 def bfs_distances(g: BipartiteGraph, source: Vertex) -> DistanceProfile:

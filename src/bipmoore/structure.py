@@ -23,8 +23,8 @@ edge sets are built once, at the end.
 ``tests/oracles.py`` keeps the walk over cycle objects this replaced.
 
 Integer vertex ids here are those of ``graphs.adjacency``: a vertex's
-position in ``g.vertices()``, left ``i`` and right ``n_left + j``. Every id
-is turned back into a ``Vertex`` by indexing that list.
+position in ``g.vertices()``, left ``i`` and right ``n_left + j``. Ids and
+vertices are converted only through that list.
 """
 
 from __future__ import annotations
