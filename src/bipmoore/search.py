@@ -61,11 +61,17 @@ node budget is split across all shard values so that the shard budgets sum
 to it. Reports are byte-identical for any worker count.
 
 Every search, and every ``max_m`` scan, runs through one generator of
-merged reports. With more than one worker it starts one process pool for
-the call and queues the shards of every modulus at once, in order, so
-workers do not idle at a modulus boundary. When the reader stops reading,
-it raises a stop flag shared with the workers, whose shards give up within
-64 placements, and shuts the pool down before the call returns, so every
+merged reports, and every shard runs through one loop, ``_run_batch``, over
+consecutive shards of one task. One worker runs each task's shards as one
+batch. With more than one worker the call starts one process pool, and a
+pool job is a batch of consecutive shards: each batch holds about a
+``1 / (4 * workers)`` share of its task's estimated size, so the many
+small shards at the end of the order travel together. The batches of every
+modulus are queued at once, in order, so workers do not idle at a modulus
+boundary. A find-first batch ends after its first shard with a solution.
+When the reader stops reading, it raises a stop flag shared with the
+workers, whose shards give up within 64 placements and whose batches run no
+further shard, and shuts the pool down before the call returns, so every
 worker has been reaped by then.
 """
 
@@ -77,11 +83,16 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from math import comb
 
 from .bounds import max_m_upper_bound
 from .circulant import FIXED_SHIFTS, PhiSpec, canonicalize, format_spec
 
 MODES = ("find-all", "find-first")
+
+#: How many pool jobs per worker ``_batches`` cuts a task into, about.
+BATCHES_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -386,27 +397,70 @@ def _plan(task: SearchTask) -> tuple[list[tuple[SearchTask, int | None, int | No
     return jobs, len(shard_values) - len(jobs)
 
 
+def _shard_size(task: SearchTask, v: int | None) -> int:
+    """A deterministic size estimate of shard ``v``: the ways to choose the
+    offsets left after ``v`` from the candidates in ``(v, m - a_1]``, plus
+    one."""
+    if v is None:
+        return 1
+    a1 = task.prefix[0] if task.prefix else v
+    return comb(task.m - a1 - v, task.d - 4 - len(task.prefix)) + 1
+
+
+def _batches(jobs: list, workers: int) -> list[list]:
+    """A task's shard jobs cut, in order, into runs of consecutive shards,
+    each closed once it holds ``1 / (BATCHES_PER_WORKER * workers)`` of the
+    task's estimated size; so at most ``BATCHES_PER_WORKER * workers + 1``."""
+    sizes = [_shard_size(task, v) for task, v, _ in jobs]
+    share = sum(sizes)
+    batches: list[list] = [[]]
+    held = 0
+    for job, size in zip(jobs, sizes):
+        batches[-1].append(job)
+        held += size
+        if held * BATCHES_PER_WORKER * workers >= share:
+            batches.append([])
+            held = 0
+    return [batch for batch in batches if batch]
+
+
+def _run_batch(jobs: list) -> list[tuple[SearchCounters, list[PhiSpec], bool]]:
+    """Run consecutive shard jobs of one task in order; their results.
+
+    A find-first batch ends after its first shard with a solution, and every
+    batch ends once the pool's stop flag is raised. A budget-stopped shard
+    does not end it.
+    """
+    results = []
+    for job in jobs:
+        results.append(result := _run_shard(job))
+        if result[1] and job[0].mode == "find-first" or _stop_flag is not None and _stop_flag.is_set():
+            break
+    return results
+
+
 def _reports(tasks: list[SearchTask], workers: int) -> Iterator[SearchReport]:
     """Each task's merged report, in task order.
 
-    With ``workers > 1`` one pool serves every task, and every task's
-    shards are queued at once, in order. Close the generator once
-    done reading (``contextlib.closing``): closing raises the stop flag,
-    cancels what is still queued and waits for the workers to exit.
+    One worker runs each task's shards as one batch. With ``workers > 1``
+    one pool serves every task, and every task's batches are queued at
+    once, in order. Close the generator once done reading
+    (``contextlib.closing``): closing raises the stop flag, cancels what is
+    still queued and waits for the workers to exit.
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     plans = [_plan(task) for task in tasks]
     if workers == 1 or sum(len(jobs) for jobs, _ in plans) <= 1:
         for task, (jobs, dead) in zip(tasks, plans):
-            yield _merge(task, map(_run_shard, jobs), dead)
+            yield _merge(task, _run_batch(jobs), dead)
         return
     stop = multiprocessing.Event()
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
     try:
-        queued = [[pool.submit(_run_shard, job) for job in jobs] for jobs, _ in plans]
+        queued = [[pool.submit(_run_batch, batch) for batch in _batches(jobs, workers)] for jobs, _ in plans]
         for task, (_, dead), futures in zip(tasks, plans, queued):
-            yield _merge(task, (future.result() for future in futures), dead)
+            yield _merge(task, chain.from_iterable(future.result() for future in futures), dead)
     finally:
         stop.set()
         pool.shutdown(cancel_futures=True)

@@ -92,7 +92,8 @@ def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
 @pytest.mark.parametrize(
     "d, m",
     [(d, m) for d in range(4, 8) for m in range(max(5, d), d * d - d)]
-    + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 55), (9, 71), (10, 89)],
+    + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 52), (8, 53), (8, 54), (8, 55)]
+    + [(9, 68), (9, 69), (9, 70), (9, 71), (10, 89)],
 )
 def test_engine_matches_bound_only_oracle(d, m):
     """Dropping candidates by slack and nodes by the sum of gains or by
@@ -247,14 +248,18 @@ def test_find_first_mode():
         assert not report.exhausted
 
 
+ORACLE_FIND_FIRST_COUNTERS = [
+    (5, 17, "phi 17: 3,11", 10, 8, 0),
+    (6, 25, "phi 25: 2,7,11", 27, 23, 0),
+    (7, 39, "phi 39: 3,12,17,32", 475, 444, 27),
+    (8, 45, "phi 45: 2,4,11,17,25", 2638, 2464, 0),
+]
+
+
 @pytest.mark.parametrize(
     "d, m, witness, nodes, by_bound, by_symmetry",
-    [
-        (5, 17, "phi 17: 3,11", 10, 8, 0),
-        (6, 25, "phi 25: 2,7,11", 27, 23, 0),
-        (7, 39, "phi 39: 3,12,17,32", 475, 444, 27),
-        (8, 45, "phi 45: 2,4,11,17,25", 2638, 2464, 0),
-    ],
+    ORACLE_FIND_FIRST_COUNTERS,
+    ids=[f"d{d}-m{m}" for d, m, *_ in ORACLE_FIND_FIRST_COUNTERS],
 )
 def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     """The bound-only oracle's find-first counters, as the engine measured
@@ -266,14 +271,18 @@ def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     assert [format_spec(s) for s in report.solutions] == [witness]
 
 
+ENGINE_FIND_FIRST_COUNTERS = [
+    (5, 17, "phi 17: 3,11", 2, 0, 1),
+    (6, 25, "phi 25: 2,7,11", 4, 1, 0),
+    (7, 39, "phi 39: 3,12,17,32", 17, 9, 1),
+    (8, 45, "phi 45: 2,4,11,17,25", 72, 52, 0),
+]
+
+
 @pytest.mark.parametrize(
     "d, m, witness, nodes, by_bound, by_symmetry",
-    [
-        (5, 17, "phi 17: 3,11", 2, 0, 1),
-        (6, 25, "phi 25: 2,7,11", 4, 1, 0),
-        (7, 39, "phi 39: 3,12,17,32", 17, 9, 1),
-        (8, 45, "phi 45: 2,4,11,17,25", 72, 52, 0),
-    ],
+    ENGINE_FIND_FIRST_COUNTERS,
+    ids=[f"d{d}-m{m}" for d, m, *_ in ENGINE_FIND_FIRST_COUNTERS],
 )
 def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     """Find-first reads shards in order and stops at the first one with a
@@ -303,7 +312,8 @@ def test_find_first_budget_worker_determinism():
     report = search_offsets(task)
     assert report.counters.budget_stops > 0
     assert len(report.solutions) == 1
-    assert search_offsets(task, workers=2).to_json_dict() == report.to_json_dict()
+    for workers in (2, 3):
+        assert search_offsets(task, workers=workers).to_json_dict() == report.to_json_dict()
 
 
 def test_find_first_worker_determinism_degree9():
@@ -312,8 +322,9 @@ def test_find_first_worker_determinism_degree9():
     task = SearchTask(d=9, m=65, mode="find-first")
     report = search_offsets(task)
     assert [format_spec(s) for s in report.solutions] == ["phi 65: 5,9,27,34,50,53"]
-    assert search_offsets(task, workers=2).to_json_dict() == report.to_json_dict()
-    assert multiprocessing.active_children() == []
+    for workers in (2, 3):
+        assert search_offsets(task, workers=workers).to_json_dict() == report.to_json_dict()
+        assert multiprocessing.active_children() == []
 
 
 def test_dead_shards_counted_not_run():
@@ -356,6 +367,62 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
     search._set_stop_flag(threading.Event())
     counters, _, exhausted = search._run_shard(job)
     assert (counters.nodes_visited, exhausted) == (306, True)
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        SearchTask(d=9, m=71),
+        SearchTask(d=9, m=65, mode="find-first"),
+        SearchTask(d=8, m=45, node_budget=2982),
+        SearchTask(d=9, m=71, prefix=(30,)),
+        SearchTask(d=5, m=19, prefix=(5, 8)),
+        SearchTask(d=11, m=109),
+    ],
+    ids=lambda task: f"d{task.d}-m{task.m}-{task.mode}-prefix{len(task.prefix)}",
+)
+def test_batches_are_the_plan_in_order(task):
+    """A task's pool jobs, concatenated, are its shard jobs in shard order,
+    and there are at most ``BATCHES_PER_WORKER * workers + 1`` of them."""
+    jobs, _ = search._plan(task)
+    for workers in (1, 2, 3, 8):
+        batches = search._batches(jobs, workers)
+        assert all(batches)
+        assert [job for batch in batches for job in batch] == jobs
+        assert len(batches) <= search.BATCHES_PER_WORKER * workers + 1
+
+
+def test_find_first_batch_ends_after_first_solution_shard():
+    """The smallest d=9, m=65 witness lies in shard a_1 = 5: a batch of every
+    shard runs shards 2 to 5 and no more."""
+    jobs, _ = search._plan(SearchTask(d=9, m=65, mode="find-first"))
+    results = search._run_batch(jobs)
+    assert [bool(solutions) for _, solutions, _ in results] == [False, False, False, True]
+    assert [format_spec(s) for s in results[-1][1]] == ["phi 65: 5,9,27,34,50,53"]
+
+
+def test_batch_runs_every_budget_stopped_shard():
+    """Budget-stopped shards do not end a find-first batch: it runs each of
+    them, as the shards run one by one do, up to the deciding shard."""
+    jobs, _ = search._plan(SearchTask(d=8, m=45, mode="find-first", node_budget=2982))
+    results = search._run_batch(jobs)
+    deciding = len(results) - 1
+    assert results[deciding][1] and not any(solutions for _, solutions, _ in results[:deciding])
+    assert sum(counters.budget_stops for counters, _, _ in results[:deciding]) > 0
+    assert results == [search._run_shard(job) for job in jobs[: deciding + 1]]
+
+
+def test_stop_flag_ends_batch(monkeypatch):
+    """Once the stop flag reads raised, the shard running gives up within 64
+    placements and the batch runs no further shard."""
+    monkeypatch.setattr(search, "_stop_flag", None)
+    jobs, _ = search._plan(SearchTask(d=9, m=71))
+    search._set_stop_flag(_FlagRaisedOnRead(3))
+    results = search._run_batch(jobs)
+    counters, _, exhausted = results[-1]
+    assert len(results) < len(jobs)
+    assert not exhausted
+    assert sum(c.nodes_visited for c, _, _ in results) <= 128 + 64 * (len(results) - 1)
 
 
 def test_tables_built_once_per_modulus():
