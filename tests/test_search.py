@@ -259,7 +259,6 @@ ORACLE_FIND_FIRST_COUNTERS = [
 @pytest.mark.parametrize(
     "d, m, witness, nodes, by_bound, by_symmetry",
     ORACLE_FIND_FIRST_COUNTERS,
-    ids=[f"d{d}-m{m}" for d, m, *_ in ORACLE_FIND_FIRST_COUNTERS],
 )
 def test_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     """The bound-only oracle's find-first counters, as the engine measured
@@ -282,7 +281,6 @@ ENGINE_FIND_FIRST_COUNTERS = [
 @pytest.mark.parametrize(
     "d, m, witness, nodes, by_bound, by_symmetry",
     ENGINE_FIND_FIRST_COUNTERS,
-    ids=[f"d{d}-m{m}" for d, m, *_ in ENGINE_FIND_FIRST_COUNTERS],
 )
 def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry):
     """Find-first reads shards in order and stops at the first one with a
