@@ -72,14 +72,15 @@ boundary. A find-first batch ends after its first shard with a solution.
 When the reader stops reading, it raises a stop flag shared with the
 workers, whose shards give up within 64 placements and whose batches run no
 further shard, and shuts the pool down before the call returns, so every
-worker has been reaped by then.
+worker has been reaped by then. ``multiprocessing`` and
+``concurrent.futures`` are imported by the first call that starts a pool,
+so a process that runs one worker never loads them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import sys
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -93,6 +94,17 @@ MODES = ("find-all", "find-first")
 
 #: How many pool jobs per worker ``_batches`` cuts a task into, about.
 BATCHES_PER_WORKER = 4
+
+
+def __getattr__(name: str):
+    """Import ``ProcessPoolExecutor`` on its first access, so that a process
+    that never runs more than one worker never loads the pool stack."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -455,8 +467,13 @@ def _reports(tasks: list[SearchTask], workers: int) -> Iterator[SearchReport]:
         for task, (jobs, dead) in zip(tasks, plans):
             yield _merge(task, _run_batch(jobs), dead)
         return
+    import multiprocessing
+
     stop = multiprocessing.Event()
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
+    # Read through the module, which imports the pool class on first use
+    # and where a test may substitute it.
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    pool = pool_class(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
     try:
         queued = [[pool.submit(_run_batch, batch) for batch in _batches(jobs, workers)] for jobs, _ in plans]
         for task, (_, dead), futures in zip(tasks, plans, queued):

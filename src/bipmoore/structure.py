@@ -768,7 +768,11 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
 def _refine(
     adj1: list[list[int]], adj2: list[list[int]], colors1: list[int], colors2: list[int]
 ) -> tuple[list[int], list[int]] | None:
-    """Iterated neighbor-multiset refinement; None when the palettes diverge."""
+    """Iterated neighbor-multiset refinement; None when the palettes diverge.
+
+    A discrete palette is returned at once: it cannot split further, and a
+    mismatch it hides is left to ``_match``'s edge check.
+    """
     n = len(colors1)
     while True:
         keys1 = [
@@ -784,7 +788,7 @@ def _refine(
         new2 = [palette[k] for k in keys2]
         if Counter(new1) != Counter(new2):
             return None
-        if len(set(new1)) == len(set(colors1)):
+        if len(palette) == n or len(palette) == len(set(colors1)):
             return new1, new2
         colors1, colors2 = new1, new2
 

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -567,3 +571,54 @@ def test_max_m_validation():
         max_m(4, 5, 12)
     with pytest.raises(ValueError):
         max_m(4, 4, 11)
+
+
+def _run_cold(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` on its path; its stdout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return proc.stdout
+
+
+def test_one_worker_process_never_loads_the_pool_stack():
+    """Import, a one-worker search and scan, the audit and an isomorphism
+    leave ``multiprocessing`` and ``concurrent.futures`` unloaded."""
+    code = """
+import sys
+import bipmoore
+from bipmoore.caseanalysis import nonexistence_case_audit
+from bipmoore.circulant import build_phi_spec, parse_spec
+from bipmoore.search import SearchTask, max_m, search_offsets
+from bipmoore.structure import find_isomorphism
+from bipmoore.witnesses import KNOWN_DEGREE11_SPECS
+
+search_offsets(SearchTask(d=7, m=41))
+max_m(7, 37, 41)
+nonexistence_case_audit(7)
+record = build_phi_spec(parse_spec(KNOWN_DEGREE11_SPECS[0]))
+assert find_isomorphism(record, record) is not None
+print(sorted(name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules))
+"""
+    assert _run_cold(code).strip() == "[]"
+
+
+def test_cold_pooled_search_matches_one_worker():
+    """The first pooled call of a process imports the pool stack on demand:
+    it returns the one-worker report and leaves no live child behind."""
+    code = """
+import json
+import sys
+from bipmoore.search import SearchTask, search_offsets
+
+assert "multiprocessing" not in sys.modules
+pooled = search_offsets(SearchTask(d=8, m=45), workers=2).to_json_dict()
+import multiprocessing
+print(json.dumps([pooled, multiprocessing.active_children() == []]))
+"""
+    pooled, reaped = json.loads(_run_cold(code))
+    assert pooled == search_offsets(SearchTask(d=8, m=45)).to_json_dict()
+    assert reaped
