@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from bipmoore.cli import main
-from bipmoore.graphs import format_adjacency, read_adjacency
+from bipmoore.graphs import BipartiteGraph, format_adjacency, read_adjacency, write_adjacency
 from bipmoore.circulant import build_phi_spec, parse_spec
+
+REPO = Path(__file__).resolve().parent.parent
+TRANSCRIPTS = Path(__file__).resolve().parent / "cli_transcripts"
 
 
 def run(capsys, *argv):
@@ -358,3 +363,72 @@ def test_bad_spec_is_usage_error(capsys):
     code, _, err = run(capsys, "build", "--spec", "phi 4: 2")
     assert code == 2
     assert "error" in err
+
+
+def two_theta_graph() -> BipartiteGraph:
+    """Two theta blocks with an illegal cross edge at the defect-4 order."""
+    edges = [(b, m) for b in (0, 1) for m in (0, 1, 2)]
+    edges += [(b, m) for b in (2, 3) for m in (3, 4, 5)]
+    edges.append((0, 3))
+    return BipartiteGraph.from_edges(11, 11, edges)
+
+
+# transcript file name -> command line after ``bipmoore``
+GOLDEN_COMMANDS = {
+    "bound": "bound 7 3",
+    "bound-json": "bound 7 3 --json",
+    "bound-order": "bound 7 3 --order 80",
+    "bound-order-json": "bound 7 3 --order 80 --json",
+    "build": 'build --spec "phi 11: 4"',
+    "build-json": 'build --spec "phi 11: 4" --json',
+    "build-out": 'build --spec "phi 11: 4" --out out.adj',
+    "build-out-json": 'build --spec "phi 11: 4" --out out.adj --json',
+    "analyze": "analyze --in phi11_4.adj --d 4",
+    "analyze-json": "analyze --in phi11_4.adj --d 4 --json",
+    "analyze-two-theta": "analyze --in two_theta.adj --d 4",
+    "analyze-two-theta-json": "analyze --in two_theta.adj --d 4 --json",
+    "iso": "iso --a phi11_4.adj --b phi11_7.adj",
+    "audit-d6": "audit --d 6",
+    "audit-d7-budget": "audit --d 7 --budget 10",
+    "audit-d7-budget-json": "audit --d 7 --budget 10 --json",
+}
+
+
+def transcript(capsys, command: str) -> str:
+    """Exit status, stdout and stderr of one command, as one string."""
+    code, out, err = run(capsys, *shlex.split(command))
+    return f"$ bipmoore {command}\nexit {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_transcript(tmp_path, monkeypatch, capsys, name):
+    """Each command's exit status, stdout and stderr match its transcript
+    file byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    write_adjacency(build_phi_spec(parse_spec("phi 11: 4")), "phi11_4.adj")
+    write_adjacency(build_phi_spec(parse_spec("phi 11: 7")), "phi11_7.adj")
+    write_adjacency(two_theta_graph(), "two_theta.adj")
+    got = transcript(capsys, GOLDEN_COMMANDS[name])
+    assert got == (TRANSCRIPTS / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the README's "Command line" block."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n\n```text\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(argv[0] == "bipmoore" for argv in lines)
+    return [argv[1:] for argv in lines]
+
+
+def test_readme_command_block(tmp_path, monkeypatch, capsys):
+    """Every README command runs as documented: exit 0, except
+    ``verify-known``, which exits 1 on the isomorphic record pairs."""
+    monkeypatch.chdir(tmp_path)
+    write_adjacency(build_phi_spec(parse_spec("phi 11: 4")), "g1.adj")
+    write_adjacency(build_phi_spec(parse_spec("phi 12: 4")), "g2.adj")
+    commands = readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == (1 if argv[0] == "verify-known" else 0), (argv, out, err)
