@@ -169,7 +169,8 @@ class AuditReport:
     order: int
     entries: tuple[AuditEntry, ...]
     verdict: str  # "nonexistence-confirmed" | "inconclusive"
-    implied_optimal_order: int | None
+    implied_optimal_order: int | None  # set only when the verdict is confirmed
+    exhausted: bool  # False when the node budget stopped the cap search
 
     @property
     def all_pass(self) -> bool:
@@ -430,7 +431,6 @@ def nonexistence_case_audit(
                 provenance="imported",
             )
         )
-        implied_optimal = implied if implied == DEGREE7_KNOWN_ORDER else None
     else:
         for name in (
             "gamma2_gamma1_span",
@@ -448,15 +448,14 @@ def nonexistence_case_audit(
                     provenance="computed",
                 )
             )
-        implied_optimal = None
 
     confirmed = d == 7 and all(e.status == "pass" for e in entries)
-    verdict = "nonexistence-confirmed" if confirmed else "inconclusive"
     return AuditReport(
         d=d,
         moore_bound=bound,
         order=order,
         entries=tuple(entries),
-        verdict=verdict,
-        implied_optimal_order=implied_optimal,
+        verdict="nonexistence-confirmed" if confirmed else "inconclusive",
+        implied_optimal_order=bound - 6 if confirmed else None,
+        exhausted=single.exhausted,
     )

@@ -1,9 +1,13 @@
 """Command-line front door for every capability, with scriptable outputs.
 
 Exit status: 0 success/verified, 1 checks failed or an expectation flag was
-contradicted, 2 usage error, 3 budget exhausted. All JSON documents carry a
-top-level ``schemaVersion`` and never include wall-clock times, so identical
-invocations produce byte-identical output at any worker count.
+contradicted, 2 usage error, 3 budget exhausted. Exit 3 wins: a result that
+a budget stopped judges no expectation, since a partial result cannot
+contradict one. Every exit 1 names what failed in ``FAILED:`` lines on
+stderr, except ``verify-known``, which prints one summary line. All JSON
+documents carry a top-level ``schemaVersion`` and never include wall-clock
+times, so identical invocations produce byte-identical output at any worker
+count.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from . import witnesses
@@ -45,8 +50,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schemaVersion": SCHEMA_VERSION, **payload}, indent=2))
+def _finish(
+    args: argparse.Namespace, payload: Callable[[], dict], text: Callable[[], str],
+    failures: Sequence[str] = (), budget: bool = False,
+) -> int:
+    """Print the result as JSON or text and return the exit status."""
+    if args.json:
+        print(json.dumps({"schemaVersion": SCHEMA_VERSION, **payload()}, indent=2))
+    else:
+        print(text())
+    if budget:
+        return EXIT_BUDGET
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
 
 
 def _read_graph_file(path: str | Path) -> BipartiteGraph:
@@ -77,68 +94,43 @@ def _load_graph(args: argparse.Namespace) -> BipartiteGraph:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     bound = moore_bound(args.d, args.diameter)
+    payload = {"d": args.d, "diameter": args.diameter, "mooreBound": bound}
+    lines = [f"Moore bound M^b({args.d},{args.diameter}) = {bound}"]
     if args.order is not None:
         record = defect_record(args.d, args.diameter, args.order)
-        if args.json:
-            _emit_json(
-                {
-                    "d": record.d,
-                    "diameter": record.diam,
-                    "mooreBound": record.moore_bound,
-                    "order": record.order,
-                    "defect": record.defect,
-                }
-            )
-        else:
-            print(f"Moore bound M^b({args.d},{args.diameter}) = {bound}")
-            print(f"order {record.order} has defect {record.defect}")
-    else:
-        if args.json:
-            _emit_json({"d": args.d, "diameter": args.diameter, "mooreBound": bound})
-        else:
-            print(f"Moore bound M^b({args.d},{args.diameter}) = {bound}")
-    return EXIT_OK
+        payload.update(order=record.order, defect=record.defect)
+        lines.append(f"order {record.order} has defect {record.defect}")
+    return _finish(args, lambda: payload, lambda: "\n".join(lines))
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
     g = build_phi_spec(spec)
-    verdict = regularity_check(g)
+    degree = regularity_check(g).degree
+    text = f"{format_spec(spec)} -> {g.order} vertices, {degree}-regular"
     if args.out:
         write_adjacency(g, args.out)
-    if args.json:
-        _emit_json(
-            {
-                "spec": format_spec(spec),
-                "nLeft": g.n_left,
-                "nRight": g.n_right,
-                "order": g.order,
-                "degree": verdict.degree,
-                "written": args.out,
-            }
-        )
-    else:
-        print(f"{format_spec(spec)} -> {g.order} vertices, {verdict.degree}-regular")
-        if args.out:
-            print(f"adjacency written to {args.out}")
-    return EXIT_OK
+        text += f"\nadjacency written to {args.out}"
+    payload = {
+        "spec": format_spec(spec),
+        "nLeft": g.n_left,
+        "nRight": g.n_right,
+        "order": g.order,
+        "degree": degree,
+        "written": args.out,
+    }
+    return _finish(args, lambda: payload, lambda: text)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     result = check_graph(_load_graph(args))
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(result.to_text())
     failures = result.failures(
         diameter=args.expect_diameter,
         girth=args.expect_girth,
         degree=args.expect_degree,
         defect=args.expect_defect,
     )
-    for failure in failures:
-        print(f"FAILED: {failure}", file=sys.stderr)
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    return _finish(args, result.to_json_dict, result.to_text, failures)
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -146,80 +138,62 @@ def cmd_search(args: argparse.Namespace) -> int:
     prefix = tuple(int(tok) for tok in args.prefix.split(",")) if args.prefix else ()
     task = SearchTask(d=args.d, m=args.m, mode=mode, prefix=prefix, node_budget=args.budget)
     report = search_offsets(task, workers=args.workers)
-    if args.json:
-        _emit_json(report.to_json_dict())
-    else:
-        print(report.to_text())
-    if report.counters.budget_stops:
-        return EXIT_BUDGET
+    failures = []
     if args.expect_none and report.solutions:
-        print("FAILED: expected no solutions", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        failures.append("expected no solutions")
     if args.expect_some and not report.solutions:
-        print("FAILED: expected at least one solution", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        failures.append("expected at least one solution")
+    budget = report.counters.budget_stops > 0
+    return _finish(args, report.to_json_dict, report.to_text, failures, budget=budget)
 
 
 def cmd_max_m(args: argparse.Namespace) -> int:
     low = args.low if args.low is not None else 5
     high = args.high if args.high is not None else max_m_upper_bound(args.d)
     result = max_m(args.d, low, high, node_budget=args.budget, workers=args.workers)
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(result.to_text())
-    return EXIT_OK if result.conclusive else EXIT_BUDGET
+    return _finish(args, result.to_json_dict, result.to_text, budget=not result.conclusive)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     dec = classify_and_decompose(g)
     report = check_observations(g, dec, args.d)
-    if args.json:
-        _emit_json({**dec.to_dict(), **report.to_dict()})
-    else:
-        print(
+
+    def text() -> str:
+        lines = [
             f"cycles: {len(dec.labels)} total; labels 2-path={len(dec.s2)}"
             f" 1-path={len(dec.s1)} 0-path={len(dec.s0)}"
-        )
+        ]
         for comp in dec.gamma2:
             tag = "theta" if comp.recognized else "unclassified"
-            print(f"  2-path component ({len(comp.vertices)} vertices): {tag}")
+            lines.append(f"  2-path component ({len(comp.vertices)} vertices): {tag}")
         for comp in dec.gamma1:
             tag = f"circulant m'={comp.m_prime}" if comp.recognized else "unclassified"
-            print(f"  1-path component ({len(comp.vertices)} vertices): {tag}")
+            lines.append(f"  1-path component ({len(comp.vertices)} vertices): {tag}")
         if dec.gamma0_vertices:
-            print(f"  0-path union: {len(dec.gamma0_vertices)} vertices")
+            lines.append(f"  0-path union: {len(dec.gamma0_vertices)} vertices")
         if dec.residue:
-            print(f"  off-cycle vertices: {len(dec.residue)}")
+            lines.append(f"  off-cycle vertices: {len(dec.residue)}")
         for entry in report.entries:
-            line = f"  [{entry.status}] {entry.name}"
-            if entry.status == "fail":
-                line += f"  witness={entry.witness}"
-            print(line)
-    return EXIT_CHECK_FAILED if report.failures else EXIT_OK
+            witness = f"  witness={entry.witness}" if entry.status == "fail" else ""
+            lines.append(f"  [{entry.status}] {entry.name}{witness}")
+        return "\n".join(lines)
+
+    failures = [entry.name for entry in report.failures]
+    return _finish(args, lambda: {**dec.to_dict(), **report.to_dict()}, text, failures)
 
 
 def cmd_iso(args: argparse.Namespace) -> int:
     result = check_isomorphism(_read_graph_file(args.a), _read_graph_file(args.b))
-    if args.json:
-        _emit_json(result.to_json_dict())
-    else:
-        print(result.to_text())
     failures = result.failures(isomorphic=args.expect_isomorphic, non_isomorphic=args.expect_non_isomorphic)
-    for failure in failures:
-        print(f"FAILED: {failure}", file=sys.stderr)
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    return _finish(args, result.to_json_dict, result.to_text, failures)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     report = nonexistence_case_audit(args.d, node_budget=args.budget, workers=args.workers)
-    if args.json:
-        _emit_json(report.to_dict())
-    else:
-        print(report.to_text())
-    return EXIT_OK if report.verdict == "nonexistence-confirmed" else EXIT_CHECK_FAILED
+    confirmed = report.verdict == "nonexistence-confirmed"
+    failures = () if confirmed else [f"verdict {report.verdict}"]
+    return _finish(args, report.to_dict, report.to_text, failures, budget=not report.exhausted)
 
 
 def cmd_verify_known(args: argparse.Namespace) -> int:
@@ -300,71 +274,64 @@ def build_parser() -> argparse.ArgumentParser:
         " build, search, certify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
 
-    p = sub.add_parser("bound", help="bipartite Moore bound and defect arithmetic")
+    p = sub.add_parser("bound", parents=[json_flag], help="bipartite Moore bound and defect arithmetic")
     p.add_argument("d", type=_degree)
     p.add_argument("diameter", type=_diam)
     p.add_argument("--order", type=int, help="also report the defect of this order")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("build", help="build a graph from a spec string")
+    p = sub.add_parser("build", parents=[json_flag], help="build a graph from a spec string")
     p.add_argument("--spec", required=True, help='e.g. "phi 95: 4,7,16,27,38,52,62,81"')
     p.add_argument("--out", help="write the adjacency-list file here")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("check", help="diameter, girth, regularity, defect of a graph")
+    p = sub.add_parser("check", parents=[json_flag], help="diameter, girth, regularity, defect of a graph")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="spec string to build and check")
     src.add_argument("--in", dest="infile", help="adjacency-list or edge-list file")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--expect-diameter", type=int)
     p.add_argument("--expect-girth", type=int)
     p.add_argument("--expect-degree", type=int)
     p.add_argument("--expect-defect", type=int)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("search", help="enumerate full-coverage offset tuples")
+    p = sub.add_parser("search", parents=[json_flag, pool], help="enumerate full-coverage offset tuples")
     p.add_argument("--d", type=_degree, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--first", action="store_true", help="stop at the first solution in shard order")
-    p.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
     p.add_argument("--budget", type=int, help="node budget, split across shards")
     p.add_argument("--prefix", help="comma-separated fixed leading offsets")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--expect-none", action="store_true")
     p.add_argument("--expect-some", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("max-m", help="largest modulus admitting a witness")
+    p = sub.add_parser("max-m", parents=[json_flag, pool], help="largest modulus admitting a witness")
     p.add_argument("--d", type=_degree, required=True)
     p.add_argument("--from", dest="low", type=int)
     p.add_argument("--to", dest="high", type=int)
     p.add_argument("--budget", type=int, help="node budget per modulus, split across shards")
-    p.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_max_m)
 
-    p = sub.add_parser("analyze", help="cycle decomposition and structural observations")
+    p = sub.add_parser("analyze", parents=[json_flag], help="cycle decomposition and structural observations")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--d", type=_degree, required=True, help="claimed regular degree")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("iso", help="exact isomorphism test with witness mapping")
+    p = sub.add_parser("iso", parents=[json_flag], help="exact isomorphism test with witness mapping")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--expect-isomorphic", action="store_true")
     p.add_argument("--expect-non-isomorphic", action="store_true")
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("audit", help="defect-4 nonexistence case audit")
+    p = sub.add_parser("audit", parents=[json_flag, pool], help="defect-4 nonexistence case audit")
     p.add_argument("--d", type=_degree, default=7)
     p.add_argument("--budget", type=int)
-    p.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("verify-known", help="verify the embedded witness fixtures")

@@ -10,6 +10,7 @@ from bipmoore.caseanalysis import (
     enumerate_multisets,
     nonexistence_case_audit,
 )
+from bipmoore.cli import main
 from oracles import count_multisets_oracle
 
 
@@ -131,6 +132,22 @@ def test_audit_other_degree_inconclusive():
     # the generic arithmetic entries still run
     assert statuses["gamma2_spanning"] == "pass"
     assert statuses["gamma1_spanning_single"] == "pass"
+
+
+def test_audit_budget_stop_claims_no_optimum(capsys):
+    """A cap search stopped by its node budget refutes nothing, so the audit
+    states no optimal order and the command exits with the budget status."""
+    report = nonexistence_case_audit(7, node_budget=10)
+    assert report.verdict == "inconclusive"
+    assert report.exhausted is False
+    assert report.implied_optimal_order is None
+    assert report.to_dict()["impliedOptimalOrder"] is None
+    assert "implied optimum" not in report.to_text()
+    assert main(["audit", "--d", "7", "--budget", "10"]) == 3
+    capsys.readouterr()
+    full = nonexistence_case_audit(7)
+    assert full.exhausted is True
+    assert full.implied_optimal_order == 80
 
 
 def test_audit_validation():
