@@ -191,8 +191,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     report = nonexistence_case_audit(args.d, node_budget=args.budget, workers=args.workers)
-    confirmed = report.verdict == "nonexistence-confirmed"
-    failures = () if confirmed else [f"verdict {report.verdict}"]
+    failures = [] if report.verdict == "nonexistence-confirmed" else [f"verdict {report.verdict}"]
     return _finish(args, report.to_dict, report.to_text, failures, budget=not report.exhausted)
 
 
@@ -276,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true")
-    pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
+    workers_flag = argparse.ArgumentParser(add_help=False)
+    workers_flag.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
 
     p = sub.add_parser("bound", parents=[json_flag], help="bipartite Moore bound and defect arithmetic")
     p.add_argument("d", type=_degree)
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-defect", type=int)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("search", parents=[json_flag, pool], help="enumerate full-coverage offset tuples")
+    p = sub.add_parser("search", parents=[json_flag, workers_flag], help="enumerate full-coverage offset tuples")
     p.add_argument("--d", type=_degree, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--first", action="store_true", help="stop at the first solution in shard order")
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-some", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("max-m", parents=[json_flag, pool], help="largest modulus admitting a witness")
+    p = sub.add_parser("max-m", parents=[json_flag, workers_flag], help="largest modulus admitting a witness")
     p.add_argument("--d", type=_degree, required=True)
     p.add_argument("--from", dest="low", type=int)
     p.add_argument("--to", dest="high", type=int)
@@ -329,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-non-isomorphic", action="store_true")
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("audit", parents=[json_flag, pool], help="defect-4 nonexistence case audit")
+    p = sub.add_parser("audit", parents=[json_flag, workers_flag], help="defect-4 nonexistence case audit")
     p.add_argument("--d", type=_degree, default=7)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_audit)
