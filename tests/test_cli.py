@@ -287,15 +287,14 @@ RECORDS = (
     "phi 95: 4,16,30,43,51,62,71,89",
     "phi 95: 11,15,21,28,37,40,45,63",
 )
-VERIFY_KNOWN_CHECKS = "".join(
-    f"{text}: {name} ok\n"
-    for text in RECORDS
-    for name in ("order", "regularity", "diameter", "defect", "girth")
-) + "".join(f"pair ({a}, {b}): non-isomorphism FAILED\n" for a, b in ((1, 2), (1, 3), (2, 3)))
-VERIFY_KNOWN_ERR = (
-    "verification FAILED: pair (1, 2): graphs are isomorphic;"
-    " pair (1, 3): graphs are isomorphic; pair (2, 3): graphs are isomorphic\n"
-)
+
+
+def read_transcript(name: str) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of one golden transcript file."""
+    text = (TRANSCRIPTS / f"{name}.txt").read_text(encoding="utf-8")
+    head, rest = text.split("--- stdout\n", 1)
+    out, err = rest.split("--- stderr\n", 1)
+    return int(head.splitlines()[1].removeprefix("exit ")), out, err
 
 
 def test_verify_known_reports_isomorphism_truth(capsys):
@@ -303,8 +302,7 @@ def test_verify_known_reports_isomorphism_truth(capsys):
     so the command exits nonzero naming the failing pairs."""
     code, out, err = run(capsys, "verify-known")
     assert code == 1
-    assert out == VERIFY_KNOWN_CHECKS
-    assert err == VERIFY_KNOWN_ERR
+    assert (code, out, err) == read_transcript("verify-known")
 
 
 def test_verify_known_export(tmp_path, capsys):
@@ -315,8 +313,9 @@ def test_verify_known_export(tmp_path, capsys):
         "phi95_4_16_30_43_51_62_71_89.adj",
         "phi95_11_15_21_28_37_40_45_63.adj",
     ]
-    assert out == VERIFY_KNOWN_CHECKS + "".join(f"exported {tmp_path / name}\n" for name in names)
-    assert err == VERIFY_KNOWN_ERR
+    _, checks, checks_err = read_transcript("verify-known")
+    assert out == checks + "".join(f"exported {tmp_path / name}\n" for name in names)
+    assert err == checks_err
     files = sorted(tmp_path.glob("*.adj"))
     assert len(files) == 3
     for name, text in zip(names, RECORDS):
@@ -389,8 +388,11 @@ GOLDEN_COMMANDS = {
     "analyze-two-theta-json": "analyze --in two_theta.adj --d 4 --json",
     "iso": "iso --a phi11_4.adj --b phi11_7.adj",
     "audit-d6": "audit --d 6",
+    "audit-d7": "audit --d 7",
     "audit-d7-budget": "audit --d 7 --budget 10",
     "audit-d7-budget-json": "audit --d 7 --budget 10 --json",
+    "max-m-d9-budget": "max-m --d 9 --from 60 --budget 2000",
+    "verify-known": "verify-known",
 }
 
 

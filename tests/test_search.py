@@ -514,6 +514,16 @@ def test_max_m_no_solution_range():
     assert result.verified_down_to == 29
 
 
+def test_max_m_range_below_the_degree_scans_nothing():
+    """Moduli below the degree host too few offsets: no modulus is scanned,
+    and an empty scan is conclusive with nothing verified."""
+    result = max_m(7, 5, 6)
+    assert result.reports == {}
+    assert result.best_m is None
+    assert result.conclusive
+    assert result.verified_down_to is None
+
+
 def test_max_m_medium_degrees_regression():
     # frozen from conclusive downward scans; witnesses re-verified by BFS
     from bipmoore.circulant import build_phi_spec
