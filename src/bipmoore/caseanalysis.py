@@ -168,13 +168,21 @@ class AuditReport:
     moore_bound: int
     order: int
     entries: tuple[AuditEntry, ...]
-    verdict: str  # "nonexistence-confirmed" | "inconclusive"
-    implied_optimal_order: int | None  # set only when the verdict is confirmed
     exhausted: bool  # False when the node budget stopped the cap search
 
     @property
     def all_pass(self) -> bool:
         return all(e.status == "pass" for e in self.entries)
+
+    @property
+    def verdict(self) -> str:
+        """Confirmed only when every entry passed; other degrees keep
+        out-of-scope entries and so stay inconclusive."""
+        return "nonexistence-confirmed" if self.all_pass else "inconclusive"
+
+    @property
+    def implied_optimal_order(self) -> int | None:
+        return self.moore_bound - 6 if self.all_pass else None
 
     def to_dict(self) -> dict:
         return {
@@ -415,6 +423,8 @@ def nonexistence_case_audit(
 
         odd_defects = [e for e in range(1, 6, 2)]
         implied = bound - 6
+        # Defect 4 stands refuted only if every entry above passed.
+        refuted = all(e.status == "pass" for e in entries)
         entries.append(
             AuditEntry(
                 name="optimality",
@@ -427,7 +437,7 @@ def nonexistence_case_audit(
                     "impliedOptimalOrder": implied,
                     "knownGraphOrder": DEGREE7_KNOWN_ORDER,
                 },
-                status=_status(implied == DEGREE7_KNOWN_ORDER),
+                status=_status(refuted and implied == DEGREE7_KNOWN_ORDER),
                 provenance="imported",
             )
         )
@@ -449,13 +459,4 @@ def nonexistence_case_audit(
                 )
             )
 
-    confirmed = d == 7 and all(e.status == "pass" for e in entries)
-    return AuditReport(
-        d=d,
-        moore_bound=bound,
-        order=order,
-        entries=tuple(entries),
-        verdict="nonexistence-confirmed" if confirmed else "inconclusive",
-        implied_optimal_order=bound - 6 if confirmed else None,
-        exhausted=single.exhausted,
-    )
+    return AuditReport(d=d, moore_bound=bound, order=order, entries=tuple(entries), exhausted=single.exhausted)

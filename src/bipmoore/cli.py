@@ -4,10 +4,9 @@ Exit status: 0 success/verified, 1 checks failed or an expectation flag was
 contradicted, 2 usage error, 3 budget exhausted. Exit 3 wins: a result that
 a budget stopped judges no expectation, since a partial result cannot
 contradict one. Every exit 1 names what failed in ``FAILED:`` lines on
-stderr, except ``verify-known``, which prints one summary line. All JSON
-documents carry a top-level ``schemaVersion`` and never include wall-clock
-times, so identical invocations produce byte-identical output at any worker
-count.
+stderr. All JSON documents carry a top-level ``schemaVersion`` and never
+include wall-clock times, so identical invocations produce byte-identical
+output at any worker count.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
+from itertools import combinations
 from pathlib import Path
 
 from . import witnesses
@@ -196,48 +196,27 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_known(args: argparse.Namespace) -> int:
-    failures: list[str] = []
-    graphs = []
-    for text in witnesses.KNOWN_DEGREE11_SPECS:
-        spec = parse_spec(text)
-        g = build_phi_spec(spec)
-        graphs.append((text, g))
+    texts = witnesses.KNOWN_DEGREE11_SPECS
+    graphs = [build_phi_spec(parse_spec(text)) for text in texts]
+    expected = dict(diameter=3, girth=4, degree=witnesses.DEGREE11_DEGREE, defect=witnesses.DEGREE11_DEFECT)
+    lines, failures = [], []
+    for text, g in zip(texts, graphs):
         result = check_graph(g)
-        checks = [
-            ("order", result.order == witnesses.DEGREE11_ORDER),
-            ("regularity", result.regularity.degree == witnesses.DEGREE11_DEGREE),
-            ("diameter", result.diameter == 3),
-            (
-                "defect",
-                result.defect is not None and result.defect.defect == witnesses.DEGREE11_DEFECT,
-            ),
-            ("girth", result.girth == 4),
-        ]
-        for name, ok in checks:
-            status = "ok" if ok else "FAILED"
-            print(f"{text}: {name} {status}")
-            if not ok:
-                failures.append(f"{text}: {name}")
-    for a in range(len(graphs)):
-        for b in range(a + 1, len(graphs)):
-            ok = not check_isomorphism(graphs[a][1], graphs[b][1]).isomorphic
-            status = "ok" if ok else "FAILED"
-            print(f"pair ({a + 1}, {b + 1}): non-isomorphism {status}")
-            if not ok:
-                failures.append(f"pair ({a + 1}, {b + 1}): graphs are isomorphic")
+        lines += [text, *(f"  {line}" for line in result.to_text().splitlines())]
+        failures += [f"{text}: {failure}" for failure in result.failures(**expected)]
+    for (a, g1), (b, g2) in combinations(enumerate(graphs, 1), 2):
+        result = check_isomorphism(g1, g2)
+        lines.append(f"pair ({a}, {b}): {result.to_text()}")
+        failures += [f"pair ({a}, {b}): {failure}" for failure in result.failures(non_isomorphic=True)]
     if args.export:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for text, g in graphs:
+        for text, g in zip(texts, graphs):
             spec = parse_spec(text)
             name = f"phi{spec.m}_" + "_".join(str(a) for a in spec.offsets) + ".adj"
             write_adjacency(g, out_dir / name)
-            print(f"exported {out_dir / name}")
-    if failures:
-        print("verification FAILED:", "; ".join(failures), file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print("all witness checks passed")
-    return EXIT_OK
+            lines.append(f"exported {out_dir / name}")
+    return _finish(args, dict, lambda: "\n".join(lines), failures)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-known", help="verify the embedded witness fixtures")
     p.add_argument("--export", action="store_true", help="write adjacency-list files")
     p.add_argument("--out-dir", default=".", help="directory for --export (default: .)")
-    p.set_defaults(func=cmd_verify_known)
+    p.set_defaults(func=cmd_verify_known, json=False)
 
     return parser
 

@@ -79,7 +79,6 @@ so a process that runs one worker never loads them.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -94,17 +93,6 @@ MODES = ("find-all", "find-first")
 
 #: How many pool jobs per worker ``_batches`` cuts a task into, about.
 BATCHES_PER_WORKER = 4
-
-
-def __getattr__(name: str):
-    """Import ``ProcessPoolExecutor`` on its first access, so that a process
-    that never runs more than one worker never loads the pool stack."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -468,12 +456,10 @@ def _reports(tasks: list[SearchTask], workers: int) -> Iterator[SearchReport]:
             yield _merge(task, _run_batch(jobs), dead)
         return
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     stop = multiprocessing.Event()
-    # Read through the module, which imports the pool class on first use
-    # and where a test may substitute it.
-    pool_class = sys.modules[__name__].ProcessPoolExecutor
-    pool = pool_class(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
     try:
         queued = [[pool.submit(_run_batch, batch) for batch in _batches(jobs, workers)] for jobs, _ in plans]
         for task, (_, dead), futures in zip(tasks, plans, queued):
@@ -515,15 +501,40 @@ def _merge(task: SearchTask, results, dead: int) -> SearchReport:
 
 @dataclass(frozen=True)
 class MaxMResult:
+    """A downward scan: the find-first report of each modulus scanned, from
+    ``m_high`` down. Only the last report can hold a solution or a budget
+    stop, since the scan ends at the first of either."""
+
     d: int
     m_low: int
     m_high: int
-    best_m: int | None
-    witnesses: tuple[PhiSpec, ...]
-    reports: dict[int, SearchReport] = field(hash=False, default_factory=dict)
-    #: Smallest modulus in the contiguous range below m_high proven solution-free.
-    verified_down_to: int | None = None
-    conclusive: bool = True
+    reports: dict[int, SearchReport] = field(hash=False)
+
+    @property
+    def _last(self) -> SearchReport | None:
+        return next(reversed(self.reports.values()), None)
+
+    @property
+    def best_m(self) -> int | None:
+        last = self._last
+        return last.task.m if last is not None and last.solutions else None
+
+    @property
+    def witnesses(self) -> tuple[PhiSpec, ...]:
+        last = self._last
+        return last.solutions if last is not None else ()
+
+    @property
+    def conclusive(self) -> bool:
+        """False when a budget stopped the scan before a witness was found."""
+        last = self._last
+        return last is None or bool(last.solutions) or not last.counters.budget_stops
+
+    @property
+    def verified_down_to(self) -> int | None:
+        """Smallest modulus in the contiguous range below m_high proven solution-free."""
+        settled = [m for m, rep in self.reports.items() if not (rep.solutions or rep.counters.budget_stops)]
+        return min(settled, default=None)
 
     def to_json_dict(self) -> dict:
         """Deterministic JSON payload."""
@@ -573,32 +584,13 @@ def max_m(
     if not 5 <= m_low <= m_high <= cap:
         raise ValueError(f"need 5 <= m_low <= m_high <= {cap}")
     reports: dict[int, SearchReport] = {}
-    verified_down_to: int | None = None
-    best_m: int | None = None
-    witnesses: tuple[PhiSpec, ...] = ()
-    conclusive = True
     tasks = [
         SearchTask(d=d, m=m, mode="find-first", node_budget=node_budget)
         for m in range(m_high, max(m_low, d) - 1, -1)
     ]
     with closing(_reports(tasks, workers)) as scan:
         for report in scan:
-            m = report.task.m
-            reports[m] = report
-            if report.solutions:
-                best_m, witnesses = m, report.solutions
+            reports[report.task.m] = report
+            if report.solutions or report.counters.budget_stops:
                 break
-            if report.counters.budget_stops:
-                conclusive = False
-                break
-            verified_down_to = m
-    return MaxMResult(
-        d=d,
-        m_low=m_low,
-        m_high=m_high,
-        best_m=best_m,
-        witnesses=witnesses,
-        reports=reports,
-        verified_down_to=verified_down_to,
-        conclusive=conclusive,
-    )
+    return MaxMResult(d=d, m_low=m_low, m_high=m_high, reports=reports)

@@ -14,8 +14,8 @@ KNOWN_DEGREE11_SPECS: tuple[str, ...] = (
     "phi 95: 11,15,21,28,37,40,45,63",
 )
 
-#: Expected shape of every degree-11 witness graph.
-DEGREE11_ORDER = 190
+#: Expected shape of every degree-11 witness graph; at diameter 3 the two
+#: fix the order at 190.
 DEGREE11_DEGREE = 11
 DEGREE11_DEFECT = 32
 

@@ -136,13 +136,19 @@ def test_audit_other_degree_inconclusive():
 
 def test_audit_budget_stop_claims_no_optimum(capsys):
     """A cap search stopped by its node budget refutes nothing, so the audit
-    states no optimal order and the command exits with the budget status."""
+    states no optimal order, its optimality entry does not pass and the
+    command exits with the budget status."""
     report = nonexistence_case_audit(7, node_budget=10)
     assert report.verdict == "inconclusive"
     assert report.exhausted is False
     assert report.implied_optimal_order is None
-    assert report.to_dict()["impliedOptimalOrder"] is None
-    assert "implied optimum" not in report.to_text()
+    payload = report.to_dict()
+    assert payload["impliedOptimalOrder"] is None
+    optimality = {e["name"]: e for e in payload["entries"]}["optimality"]
+    assert optimality["status"] == "fail"
+    text = report.to_text()
+    assert "implied optimum" not in text
+    assert "[FAIL        ] optimality" in text
     assert main(["audit", "--d", "7", "--budget", "10"]) == 3
     capsys.readouterr()
     full = nonexistence_case_audit(7)

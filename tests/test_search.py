@@ -558,7 +558,7 @@ def test_max_m_worker_determinism(d, low, high, budget, monkeypatch):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
 
     def outcome(workers):
         result = max_m(d, low, high, node_budget=budget, workers=workers)
