@@ -6,11 +6,17 @@ The central family is the graph on sides ``{x_i}`` and ``{y_i}`` (indices mod
 a neighbour exactly when ``r`` is a difference ``s - t`` of shifts in ``B``, so
 whether such a graph has diameter at most 3 reduces to whether these
 two-step residues cover ``Z_m``, which is what the search engine enumerates.
+
+``PhiSpec.shifts`` is that set. ``B - B`` is defined here once, as residue
+bitmasks built from the table ``pair_masks`` of ``+-t``: ``difference_mask``
+covers a whole set and ``shift_mask`` what one more shift adds. The residue
+test and the search both read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import BipartiteGraph
 
@@ -40,8 +46,13 @@ class PhiSpec:
         object.__setattr__(self, "offsets", ordered)
 
     @property
+    def shifts(self) -> tuple[int, ...]:
+        """The connection set ``B = FIXED_SHIFTS + offsets``."""
+        return FIXED_SHIFTS + self.offsets
+
+    @property
     def degree(self) -> int:
-        return 3 + len(self.offsets)
+        return len(self.shifts)
 
     def negated(self) -> PhiSpec:
         """The spec with every offset replaced by its negation mod m."""
@@ -120,8 +131,7 @@ def build_theta(t: int) -> BipartiteGraph:
 def build_phi_spec(spec: PhiSpec) -> BipartiteGraph:
     """The graph described by ``spec``: 2m vertices, (3 + #offsets)-regular."""
     m = spec.m
-    shifts = FIXED_SHIFTS + spec.offsets
-    lists = [sorted((i + s) % m for s in shifts) for i in range(m)]
+    lists = [sorted((i + s) % m for s in spec.shifts) for i in range(m)]
     return BipartiteGraph.from_neighbor_lists(lists, m)
 
 
@@ -130,51 +140,57 @@ def build_phi(m: int) -> BipartiteGraph:
     return build_phi_spec(PhiSpec(m))
 
 
+@lru_cache(maxsize=2)
+def pair_masks(m: int) -> list[int]:
+    """``pair[t]``: the residues ``+-t`` mod m as a bitmask, the two differences
+    of shifts ``t`` apart. A negative ``t`` reads the same mask, since
+    ``pair[-t]`` is ``pair[m - t]``. Built once per modulus per process."""
+    return [(1 << t) | (1 << (-t % m)) for t in range(m)]
+
+
+def shift_mask(m: int, w: int, shifts) -> int:
+    """The residues ``+-(w - b)`` for every ``b`` in ``shifts``: what adding the
+    shift ``w`` adds to ``B - B``. Every difference ``w - b`` lies in
+    ``(-m, m)``, as it does for shifts in ``[-1, m-2]``."""
+    pair = pair_masks(m)
+    mask = 0
+    for b in shifts:
+        mask |= pair[w - b]
+    return mask
+
+
+def difference_mask(m: int, shifts) -> int:
+    """``B - B`` mod m as a bitmask: bit ``r`` is set when ``r`` is a difference
+    ``s - t`` of two shifts of ``B``. Residue 0 is always in."""
+    mask = 1
+    for i, s in enumerate(shifts):
+        mask |= shift_mask(m, s, shifts[:i])
+    return mask
+
+
 @dataclass(frozen=True)
 class ResidueCoverage:
-    """The two-step residue multiset of a spec and its coverage verdict.
+    """The two-step residues ``B - B`` of a spec, reduced mod m, as a bitmask.
 
-    ``counts[r]`` is the multiplicity with which residue ``r`` occurs as a
-    difference ``s - t`` of distinct shifts in ``B = FIXED_SHIFTS + offsets``,
-    reduced mod m, plus ``0`` once. The fixed shifts give ``+-1`` twice
-    (``1 - 0`` and ``0 - (-1)``), and that repeat is counted once.
+    Bit ``r`` of ``mask`` is set when ``r`` is a difference ``s - t`` of
+    shifts in ``B = FIXED_SHIFTS + offsets``; residue 0 always is.
     """
 
     m: int
-    counts: tuple[int, ...]
+    mask: int
 
     @property
     def covered(self) -> frozenset[int]:
-        return frozenset(r for r, c in enumerate(self.counts) if c)
+        return frozenset(r for r in range(self.m) if self.mask >> r & 1)
 
     @property
     def full(self) -> bool:
-        return all(self.counts)
-
-    @property
-    def multiset_size(self) -> int:
-        return sum(self.counts)
+        return self.mask == (1 << self.m) - 1
 
 
 def two_step_residues(spec: PhiSpec) -> ResidueCoverage:
-    """Residues of same-side vertices reachable from ``x_0`` in exactly two steps.
-
-    The multiset always has ``d**2 - d - 1`` entries where ``d`` is the spec
-    degree, regardless of the modulus.
-    """
-    m = spec.m
-    counts = [0] * m
-    # Differences within the fixed shifts, each value once: 0 and the +-1
-    # that two pairs give are counted once.
-    for value in {s - t for s in FIXED_SHIFTS for t in FIXED_SHIFTS}:
-        counts[value % m] += 1
-    # Every pair of shifts with an offset in it gives both its differences.
-    shifts = FIXED_SHIFTS + spec.offsets
-    for i in range(len(FIXED_SHIFTS), len(shifts)):
-        for t in shifts[:i]:
-            counts[(shifts[i] - t) % m] += 1
-            counts[(t - shifts[i]) % m] += 1
-    return ResidueCoverage(m=m, counts=tuple(counts))
+    """Residues of same-side vertices reachable from ``x_0`` in exactly two steps."""
+    return ResidueCoverage(m=spec.m, mask=difference_mask(spec.m, spec.shifts))
 
 
 def diameter_at_most_3(spec: PhiSpec) -> bool:

@@ -7,6 +7,8 @@ growing ``B`` one offset at a time with a bitmask of ``B - B``. It checks
 forward: a node whose ``B`` has ``k`` shifts carries its live candidates
 ``w``, each with the mask ``+-(w - b)`` over every ``b`` in ``B`` of the
 residues it would add. Placing an offset extends every mask by one pair.
+The masks are ``circulant``'s: a shard's root reads ``difference_mask`` and
+``shift_mask``, and a placement ors in one ``pair_masks`` entry.
 Pruning is:
 
 * by an admissibility bound: the ``r`` offsets still to place can add at
@@ -82,12 +84,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from math import comb
 
 from .bounds import max_m_upper_bound
-from .circulant import FIXED_SHIFTS, PhiSpec, canonicalize, format_spec
+from .circulant import FIXED_SHIFTS, PhiSpec, canonicalize, difference_mask, format_spec, pair_masks, shift_mask
 
 MODES = ("find-all", "find-first")
 
@@ -120,12 +121,8 @@ class SearchTask:
         prefix = tuple(self.prefix)
         if len(prefix) > self.d - 3:
             raise ValueError("prefix longer than the offset tuple")
-        for a, b in zip(prefix, prefix[1:]):
-            if b <= a:
-                raise ValueError("prefix must be strictly increasing")
-        for a in prefix:
-            if not 2 <= a <= self.m - 2:
-                raise ValueError(f"prefix offset {a} outside [2, {self.m - 2}]")
+        if PhiSpec(self.m, prefix).offsets != prefix:
+            raise ValueError("prefix must be strictly increasing")
         object.__setattr__(self, "prefix", prefix)
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node budget must be positive")
@@ -221,14 +218,6 @@ def _set_stop_flag(flag) -> None:
     _stop_flag = flag
 
 
-@lru_cache(maxsize=2)
-def _pair_masks(m: int) -> list[int]:
-    """``pair[t]``: the residues ``+-t``, the two differences of shifts ``t``
-    apart. A negative ``t`` reads the same mask, since ``pair[-t]`` is
-    ``pair[m - t]``. Built once per modulus per process."""
-    return [(1 << t) | (1 << (-t % m)) for t in range(m)]
-
-
 def _support_cut(uncovered: int, live: list, r: int, m: int, count: int) -> int:
     """How many of a node's first ``count`` children to place; 0 means the
     node dies. The node has ``r`` offsets still to place from its ``live``
@@ -269,7 +258,7 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
     """
     task, shard_value, budget = args
     m, d = task.m, task.d
-    pair = _pair_masks(m)
+    pair = pair_masks(m)
     # bound_add[k]: most residues the d - k shifts still to add to k can add.
     bound_add = [(d - k) * 2 * k + (d - k) * (d - k - 1) for k in range(d + 1)]
     full = (1 << m) - 1
@@ -283,11 +272,8 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
 
     # The connection set of the walk's current node and its coverage; the
     # prefix is not counted as nodes.
-    shifts = [*FIXED_SHIFTS, *prefix]
-    covered = 1
-    for i, s in enumerate(shifts):
-        for t in shifts[:i]:
-            covered |= pair[s - t]
+    shifts = list(PhiSpec(m, prefix).shifts)
+    covered = difference_mask(m, shifts)
 
     def accept() -> None:
         spec = PhiSpec(m, tuple(shifts[len(FIXED_SHIFTS) :]))
@@ -362,9 +348,7 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
             uncovered = full ^ covered
             live = []
             for w in range(v, sym_cap + 1):
-                mw = 0
-                for b in shifts:
-                    mw |= pair[w - b]
+                mw = shift_mask(m, w, shifts)
                 if (g := (mw & uncovered).bit_count()) >= least:
                     live.append((w, mw, g))
             if live and live[0][0] == v and len(live) >= d - k:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .bounds import moore_bound
+from .circulant import FIXED_SHIFTS
 from .graphs import LEFT, RIGHT, BipartiteGraph, Vertex, adjacency, bits
 
 
@@ -388,13 +389,8 @@ def _recognize_phi(
     ys = [(RIGHT, e[1]) for e in shared_edges]
     if len(set(xs)) != m or len(set(ys)) != m:
         return False, None, (), ()
-    expected: set[tuple[int, int]] = set()
-    for i in range(m):
-        nxt = (i + 1) % m
-        expected.add((xs[i][1], ys[i][1]))
-        expected.add((xs[i][1], ys[nxt][1]))
-        expected.add((xs[nxt][1], ys[i][1]))
-    if expected != set(edges):
+    expected = {(xs[i][1], ys[(i + b) % m][1]) for i in range(m) for b in FIXED_SHIFTS}
+    if expected != edges:
         return False, None, (), ()
     return True, m, tuple(xs), tuple(ys)
 

@@ -42,7 +42,7 @@ from bipmoore.structure import (
     verify_isomorphism,
 )
 from bipmoore.witnesses import KNOWN_DEGREE11_SPECS
-from oracles import diameter_oracle, naive_coverage_solutions
+from oracles import diameter_oracle, naive_coverage_solutions, two_step_residues_oracle
 
 WITNESS_GRAPHS = [build_phi_spec(parse_spec(s)) for s in KNOWN_DEGREE11_SPECS]
 
@@ -221,8 +221,8 @@ def test_criterion_8_oracle_equivalence_suite():
         m = rng.randint(5, 60)
         n_offsets = rng.randint(0, min(6, m - 3))
         spec = PhiSpec(m, tuple(rng.sample(range(2, m - 1), n_offsets)))
-        d = spec.degree
-        if two_step_residues(spec).multiset_size != d * d - d - 1:
+        counts = two_step_residues_oracle(m, spec.offsets)
+        if two_step_residues(spec).covered != {r for r, c in enumerate(counts) if c}:
             failures += 1
             continue
         g = build_phi_spec(spec)

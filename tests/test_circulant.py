@@ -14,11 +14,12 @@ from bipmoore.circulant import (
     build_theta,
     canonicalize,
     diameter_at_most_3,
+    difference_mask,
     format_spec,
     parse_spec,
     two_step_residues,
 )
-from bipmoore.graphs import LEFT, RIGHT, bfs_distances, diameter, girth, regularity_check
+from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, bfs_distances, check_graph, diameter, girth, regularity_check
 from bipmoore.structure import short_cycles, verify_isomorphism
 from oracles import diameter_oracle, two_step_residues_oracle
 
@@ -93,7 +94,8 @@ def test_multiset_size_identity():
         offsets = tuple(rng.sample(range(2, m - 1), n_offsets))
         spec = PhiSpec(m, offsets)
         d = spec.degree
-        assert two_step_residues(spec).multiset_size == d * d - d - 1
+        repeats = sum(c - 1 for c in two_step_residues_oracle(m, spec.offsets) if c)
+        assert len(two_step_residues(spec).covered) + repeats == d * d - d - 1
 
 
 def _random_spec(rng: random.Random, max_m: int, max_offsets: int) -> PhiSpec:
@@ -108,8 +110,28 @@ def test_residue_counts_match_written_out_formula():
     for _ in range(600):
         spec = _random_spec(rng, 60, 8)
         small += spec.m <= 12
-        assert two_step_residues(spec).counts == two_step_residues_oracle(spec.m, spec.offsets), spec
+        counts = two_step_residues_oracle(spec.m, spec.offsets)
+        assert two_step_residues(spec).covered == {r for r, c in enumerate(counts) if c}, spec
     assert small >= 50  # moduli where residues of different shifts collide
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_singer_difference_sets_give_moore_graphs(q):
+    """A set ``B`` of ``q + 1`` residues whose differences cover ``Z_m``,
+    ``m = q*q + q + 1``, is a perfect difference set, and ``x_i ~ y_{i+b}`` is
+    the incidence graph of a projective plane: a bipartite Moore graph of
+    degree ``q + 1`` and diameter 3, with girth 6."""
+    m = q * q + q + 1
+    full = (1 << m) - 1
+    shifts = next(
+        (0, 1, *rest) for rest in combinations(range(2, m), q - 1) if difference_mask(m, (0, 1, *rest)) == full
+    )
+    g = BipartiteGraph.from_neighbor_lists([sorted((i + b) % m for b in shifts) for i in range(m)], m)
+    check = check_graph(g)
+    assert check.regularity.degree == q + 1
+    assert check.defect is not None and check.defect.defect == 0
+    assert check.girth == 6
+    assert not short_cycles(g).pairs
 
 
 def test_covered_residues_are_common_neighbours_in_the_graph():

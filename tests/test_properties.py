@@ -1,6 +1,7 @@
 """Property tests on generated inputs: the all-sources diameter against
-breadth-first search, residue coverage against the diameter, and the
-pair-keyed decomposition against the cycle walk it replaced.
+breadth-first search, residue coverage against the diameter, the two rules
+of ``B - B`` masks the search's child filter rests on, and the pair-keyed
+decomposition against the cycle walk it replaced.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bipmoore.circulant import PhiSpec, build_phi_spec, diameter_at_most_3
+from bipmoore.circulant import PhiSpec, build_phi_spec, diameter_at_most_3, difference_mask, pair_masks, shift_mask
 from bipmoore.graphs import BipartiteGraph, diameter
 from bipmoore.structure import check_observations, classify_and_decompose
 from oracles import decomposition_oracle, diameter_oracle
@@ -44,6 +45,32 @@ def test_diameter_matches_bfs_oracle(g):
 @given(phi_specs())
 def test_coverage_matches_diameter(spec):
     assert diameter_at_most_3(spec) == (diameter(build_phi_spec(spec)) <= 3)
+
+
+@st.composite
+def shift_sets(draw) -> tuple[int, tuple[int, ...], int, int]:
+    """A modulus, a connection set of distinct shifts in ``[-1, m-2]`` and two
+    more shifts ``w`` and ``v`` outside it."""
+    m = draw(st.integers(5, 60))
+    chosen = draw(st.lists(st.integers(-1, m - 2), min_size=2, max_size=min(10, m), unique=True))
+    *shifts, w, v = chosen
+    return m, tuple(shifts), w, v
+
+
+@FIXED
+@given(shift_sets())
+def test_difference_mask_grows_by_the_shift_mask(case):
+    """Adding ``w`` to ``B`` adds exactly the residues ``+-(w - b)``."""
+    m, shifts, w, _ = case
+    assert difference_mask(m, shifts + (w,)) == difference_mask(m, shifts) | shift_mask(m, w, shifts)
+
+
+@FIXED
+@given(shift_sets())
+def test_shift_mask_grows_by_one_pair(case):
+    """Placing ``v`` extends a candidate ``w``'s mask by the one pair ``+-(w - v)``."""
+    m, shifts, w, v = case
+    assert shift_mask(m, w, shifts + (v,)) == shift_mask(m, w, shifts) | pair_masks(m)[w - v]
 
 
 @FIXED

@@ -16,7 +16,15 @@ from pathlib import Path
 import pytest
 
 from bipmoore import search
-from bipmoore.circulant import FIXED_SHIFTS, PhiSpec, diameter_at_most_3, format_spec, two_step_residues
+from bipmoore.circulant import (
+    PhiSpec,
+    diameter_at_most_3,
+    difference_mask,
+    format_spec,
+    pair_masks,
+    shift_mask,
+    two_step_residues,
+)
 from bipmoore.search import SearchTask, max_m, search_offsets
 from oracles import bound_only_search_oracle, naive_coverage_solutions
 
@@ -115,17 +123,12 @@ def _support_case(rng: random.Random, fewest: int, most: int, spare: int):
     at least ``spare`` candidates to spare."""
     m = rng.randint(10, 30)
     offsets = rng.sample(range(2, m - 1), rng.randint(0, 2))
-    shifts = [*FIXED_SHIFTS, *offsets]
-    covered = 1
-    for s, t in combinations(shifts, 2):
-        covered |= 1 << (s - t) % m | 1 << (t - s) % m
-    uncovered = (1 << m) - 1 & ~covered
+    shifts = PhiSpec(m, offsets).shifts
+    uncovered = (1 << m) - 1 & ~difference_mask(m, shifts)
     rest = [w for w in range(2, m - 1) if w not in offsets]
     live = []
     for w in sorted(rng.sample(rest, rng.randint(fewest, min(most, len(rest))))):
-        mask = 0
-        for b in shifts:
-            mask |= 1 << (w - b) % m | 1 << (b - w) % m
+        mask = shift_mask(m, w, shifts)
         live.append((w, mask, (mask & uncovered).bit_count()))
     return m, uncovered, live, rng.randint(2, min(4, len(live) - spare))
 
@@ -428,11 +431,11 @@ def test_stop_flag_ends_batch(monkeypatch):
 
 
 def test_tables_built_once_per_modulus():
-    search._pair_masks.cache_clear()
+    pair_masks.cache_clear()
     search_offsets(SearchTask(d=8, m=45))
-    assert search._pair_masks.cache_info().misses == 1
+    assert pair_masks.cache_info().misses == 1
     max_m(8, 52, 53)
-    assert search._pair_masks.cache_info().misses == 3
+    assert pair_masks.cache_info().misses == 3
 
 
 def test_budget_interrupts():
