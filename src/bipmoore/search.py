@@ -7,7 +7,7 @@ growing ``B`` one offset at a time with a bitmask of ``B - B``. It checks
 forward: a node whose ``B`` has ``k`` shifts carries its live candidates
 ``w``, each with the mask ``+-(w - b)`` over every ``b`` in ``B`` of the
 residues it would add. Placing an offset extends every mask by one pair.
-The masks are ``circulant``'s: a shard's root reads ``difference_mask`` and
+The masks are ``circulant``'s: a task's root reads ``difference_mask`` and
 ``shift_mask``, and a placement ors in one ``pair_masks`` entry.
 Pruning is:
 
@@ -52,9 +52,15 @@ counts each child, filters its live list and runs the tests above, accepts
 leaves and recurses only into children that live, so a dead node costs no
 recursive call.
 
-Sharding is by the value of the first free offset position. Shards whose
-value already exceeds ``m - a_1`` hold nothing canonical: they are counted
-as symmetry prunes where the search is planned and never run. Shards are
+Sharding is by the value ``v`` of the first free offset position. The
+planner builds each task's root once: the prefix node's coverage and its
+live candidates up to the largest ``m - a_1`` of any shard. Each shard
+runs from the root's window ``[v, m - a_1]``, found by bisection, and a
+pool job carries the root once with its shards' values and budgets. Shards
+whose value already exceeds ``m - a_1`` hold nothing canonical: the planner
+counts them as symmetry prunes, and they are never run. A fully pinned
+prefix is a leaf that the planner settles in the calling process, with no
+shard at all. The planner's result is read after every shard's. Shards are
 read in ascending order and each walks its subtree lexicographically, so
 the merged solution list is sorted as it is built. ``find-first`` stops the
 shard that finds a solution and reads no shard after it: the report holds
@@ -81,6 +87,7 @@ so a process that runs one worker never loads them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -249,41 +256,56 @@ def _support_cut(uncovered: int, live: list, r: int, m: int, count: int) -> int:
     return 0
 
 
-def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchCounters, list[PhiSpec], bool]:
-    """Explore the subtree where the first free position takes ``shard_value``.
+@dataclass(frozen=True)
+class _Root:
+    """A task's prefix node, built once by ``_plan`` and shared by its shards:
+    its coverage and its live (candidate, mask, gain) triples, ascending,
+    from the first shard value up to the largest ``m - a_1`` of any shard."""
 
-    ``shard_value`` is None when the prefix pins every offset: the prefix is
-    then the only candidate and no node is placed. A shard value beyond
+    task: SearchTask
+    covered: int
+    live: list
+
+
+def _sym_cap(task: SearchTask, v: int) -> int:
+    """``m - a_1`` in shard ``v``: no canonical tuple there holds a larger offset."""
+    return task.m - (task.prefix[0] if task.prefix else v)
+
+
+def _bound_add(d: int) -> list[int]:
+    """``[k]``: the most residues the ``d - k`` shifts still to add to ``k`` can add."""
+    return [(d - k) * 2 * k + (d - k) * (d - k - 1) for k in range(d + 1)]
+
+
+def _accept(spec: PhiSpec, counters: SearchCounters, solutions: list[PhiSpec]) -> bool:
+    """Settle a full-coverage leaf: a solution when canonical, else a symmetry
+    prune. True when it is kept."""
+    if canonicalize(spec) == spec:
+        counters.solutions_found += 1
+        solutions.append(spec)
+        return True
+    counters.pruned_by_symmetry += 1
+    return False
+
+
+def _run_shard(root: _Root, v: int, budget: int | None) -> tuple[SearchCounters, list[PhiSpec], bool]:
+    """Explore the subtree where the first free position takes ``v``.
+
+    The shard's live list is the root's window ``[v, m - a_1]``, found by
+    bisection, and the shard places only ``v``. A shard value beyond
     ``m - a_1`` never reaches here (see ``_plan``).
     """
-    task, shard_value, budget = args
-    m, d = task.m, task.d
+    m, d = root.task.m, root.task.d
     pair = pair_masks(m)
-    # bound_add[k]: most residues the d - k shifts still to add to k can add.
-    bound_add = [(d - k) * 2 * k + (d - k) * (d - k - 1) for k in range(d + 1)]
+    bound_add = _bound_add(d)
     full = (1 << m) - 1
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
-    find_first = task.mode == "find-first"
+    find_first = root.task.mode == "find-first"
     stop = _stop_flag
-
-    prefix = task.prefix
-    sym_cap = m - (prefix[0] if prefix else shard_value)
-
-    # The connection set of the walk's current node and its coverage; the
-    # prefix is not counted as nodes.
-    shifts = list(PhiSpec(m, prefix).shifts)
-    covered = difference_mask(m, shifts)
-
-    def accept() -> None:
-        spec = PhiSpec(m, tuple(shifts[len(FIXED_SHIFTS) :]))
-        if canonicalize(spec) == spec:
-            counters.solutions_found += 1
-            solutions.append(spec)
-            if find_first:
-                raise _StopShard
-        else:
-            counters.pruned_by_symmetry += 1
+    # The connection set of the walk's current node; the prefix is not
+    # counted as nodes.
+    shifts = list(PhiSpec(m, root.task.prefix).shifts)
 
     def expand(covered: int, live: list, count: int) -> None:
         # Place each of the first ``count`` live (candidate, mask against
@@ -301,7 +323,8 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
             v, mask_v, _ = live[i]
             shifts.append(v)
             if r == 0:
-                accept()
+                if _accept(PhiSpec(m, tuple(shifts[len(FIXED_SHIFTS) :])), counters, solutions) and find_first:
+                    raise _StopShard
             else:
                 child_covered = covered | mask_v
                 missing = m - child_covered.bit_count()
@@ -331,71 +354,67 @@ def _run_shard(args: tuple[SearchTask, int | None, int | None]) -> tuple[SearchC
                     counters.pruned_by_bound += 1
             shifts.pop()
 
-    exhausted = True
-    v = shard_value
+    sym_cap = _sym_cap(root.task, v)
+    if len(shifts) + 1 < d:
+        # Candidates beyond m - a_1 are never listed.
+        counters.pruned_by_symmetry += (m - 2) - sym_cap
+    live = root.live[bisect_left(root.live, (v,)) : bisect_left(root.live, (sym_cap + 1,))]
     try:
-        if v is None:
-            if covered.bit_count() == m:
-                accept()
-        else:
-            k = len(shifts)
-            if k + 1 < d:
-                # Candidates beyond m - a_1 are never listed.
-                counters.pruned_by_symmetry += (m - 2) - sym_cap
-            # The prefix node's live candidates from v on; the shard places only v.
-            # A candidate's waste, 2k minus its gain, may not exceed the slack.
-            least = 2 * k - (covered.bit_count() + bound_add[k] - m)
-            uncovered = full ^ covered
-            live = []
-            for w in range(v, sym_cap + 1):
-                mw = shift_mask(m, w, shifts)
-                if (g := (mw & uncovered).bit_count()) >= least:
-                    live.append((w, mw, g))
-            if live and live[0][0] == v and len(live) >= d - k:
-                expand(covered, live, 1)
+        if live and live[0][0] == v and len(live) >= d - len(shifts):
+            expand(root.covered, live, 1)
     except _StopShard:
-        # A find-first stop after the only candidate of a pinned prefix
-        # leaves nothing unvisited.
-        exhausted = v is None
-    return counters, solutions, exhausted
+        return counters, solutions, False
+    return counters, solutions, True
 
 
-def _plan(task: SearchTask) -> tuple[list[tuple[SearchTask, int | None, int | None]], int]:
-    """The task's shard jobs in shard order, and how many shard values lie
-    beyond ``m - a_1`` and so are counted here instead of run."""
-    if len(task.prefix) == task.d - 3:
-        shard_values: list[int | None] = [None]
-    else:
-        start = task.prefix[-1] + 1 if task.prefix else 2
-        shard_values = list(range(start, task.m - 1))
+def _plan(task: SearchTask) -> tuple[_Root, list[tuple[int, int | None]], tuple[SearchCounters, list[PhiSpec], bool]]:
+    """The task's root, its shard jobs ``(v, budget)`` in shard order, and the
+    planner's own result, which ``_merge`` folds in after the shards'.
+
+    A fully pinned prefix is a leaf, settled here, and runs no shard.
+    Otherwise the result counts the shard values beyond ``m - a_1`` as
+    symmetry prunes: they hold nothing canonical and are never run. The
+    budget is split over every shard value.
+    """
+    m, d, prefix = task.m, task.d, task.prefix
+    shifts = PhiSpec(m, prefix).shifts
+    k = len(shifts)
+    covered = difference_mask(m, shifts)
+    if k == d:
+        counters, solutions = SearchCounters(), []
+        if covered.bit_count() == m:
+            _accept(PhiSpec(m, prefix), counters, solutions)
+        return _Root(task, covered, []), [], (counters, solutions, True)
+    start = prefix[-1] + 1 if prefix else 2
+    # A candidate's waste, 2k minus its gain, may not exceed the slack.
+    least = 2 * k - (covered.bit_count() + _bound_add(d)[k] - m)
+    live = [
+        (w, x, g)
+        for w in range(start, _sym_cap(task, start) + 1)
+        if (g := ((x := shift_mask(m, w, shifts)) & ~covered).bit_count()) >= least
+    ]
+    values = range(start, m - 1)
     if task.node_budget is None:
-        budgets = [None] * len(shard_values)
+        budgets = [None] * len(values)
     else:
-        share, extra = divmod(task.node_budget, max(1, len(shard_values)))
-        budgets = [share + (i < extra) for i in range(len(shard_values))]
-    jobs = []
-    for v, budget in zip(shard_values, budgets):
-        a1 = task.prefix[0] if task.prefix else v
-        if v is None or v <= task.m - a1:
-            jobs.append((task, v, budget))
-    return jobs, len(shard_values) - len(jobs)
+        share, extra = divmod(task.node_budget, max(1, len(values)))
+        budgets = [share + (i < extra) for i in range(len(values))]
+    jobs = [(v, budget) for v, budget in zip(values, budgets) if v <= _sym_cap(task, v)]
+    return _Root(task, covered, live), jobs, (SearchCounters(pruned_by_symmetry=len(values) - len(jobs)), [], True)
 
 
-def _shard_size(task: SearchTask, v: int | None) -> int:
+def _shard_size(task: SearchTask, v: int) -> int:
     """A deterministic size estimate of shard ``v``: the ways to choose the
     offsets left after ``v`` from the candidates in ``(v, m - a_1]``, plus
     one."""
-    if v is None:
-        return 1
-    a1 = task.prefix[0] if task.prefix else v
-    return comb(task.m - a1 - v, task.d - 4 - len(task.prefix)) + 1
+    return comb(_sym_cap(task, v) - v, task.d - 4 - len(task.prefix)) + 1
 
 
-def _batches(jobs: list, workers: int) -> list[list]:
+def _batches(task: SearchTask, jobs: list, workers: int) -> list[list]:
     """A task's shard jobs cut, in order, into runs of consecutive shards,
     each closed once it holds ``1 / (BATCHES_PER_WORKER * workers)`` of the
     task's estimated size; so at most ``BATCHES_PER_WORKER * workers + 1``."""
-    sizes = [_shard_size(task, v) for task, v, _ in jobs]
+    sizes = [_shard_size(task, v) for v, _ in jobs]
     share = sum(sizes)
     batches: list[list] = [[]]
     held = 0
@@ -408,17 +427,18 @@ def _batches(jobs: list, workers: int) -> list[list]:
     return [batch for batch in batches if batch]
 
 
-def _run_batch(jobs: list) -> list[tuple[SearchCounters, list[PhiSpec], bool]]:
-    """Run consecutive shard jobs of one task in order; their results.
+def _run_batch(root: _Root, jobs: list) -> list[tuple[SearchCounters, list[PhiSpec], bool]]:
+    """Run consecutive shard jobs of one task from its root, in order; their
+    results.
 
     A find-first batch ends after its first shard with a solution, and every
     batch ends once the pool's stop flag is raised. A budget-stopped shard
     does not end it.
     """
     results = []
-    for job in jobs:
-        results.append(result := _run_shard(job))
-        if result[1] and job[0].mode == "find-first" or _stop_flag is not None and _stop_flag.is_set():
+    for v, budget in jobs:
+        results.append(result := _run_shard(root, v, budget))
+        if result[1] and root.task.mode == "find-first" or _stop_flag is not None and _stop_flag.is_set():
             break
     return results
 
@@ -428,16 +448,18 @@ def _reports(tasks: list[SearchTask], workers: int) -> Iterator[SearchReport]:
 
     One worker runs each task's shards as one batch. With ``workers > 1``
     one pool serves every task, and every task's batches are queued at
-    once, in order. Close the generator once done reading
-    (``contextlib.closing``): closing raises the stop flag, cancels what is
-    still queued and waits for the workers to exit.
+    once, in order, each with its task's root. Close the generator once
+    done reading (``contextlib.closing``): closing raises the stop flag,
+    cancels what is still queued and waits for the workers to exit.
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    plans = [_plan(task) for task in tasks]
-    if workers == 1 or sum(len(jobs) for jobs, _ in plans) <= 1:
-        for task, (jobs, dead) in zip(tasks, plans):
-            yield _merge(task, _run_batch(jobs), dead)
+    # One worker plans each task as it comes to it, so a scan that stops
+    # early builds no root beyond the modulus it stops at.
+    plans = [_plan(task) for task in tasks] if workers > 1 else map(_plan, tasks)
+    if workers == 1 or sum(len(jobs) for _, jobs, _ in plans) <= 1:
+        for root, jobs, planned in plans:
+            yield _merge(root.task, chain(_run_batch(root, jobs), [planned]))
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -445,9 +467,12 @@ def _reports(tasks: list[SearchTask], workers: int) -> Iterator[SearchReport]:
     stop = multiprocessing.Event()
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
     try:
-        queued = [[pool.submit(_run_batch, batch) for batch in _batches(jobs, workers)] for jobs, _ in plans]
-        for task, (_, dead), futures in zip(tasks, plans, queued):
-            yield _merge(task, chain.from_iterable(future.result() for future in futures), dead)
+        queued = [
+            [pool.submit(_run_batch, root, batch) for batch in _batches(root.task, jobs, workers)]
+            for root, jobs, _ in plans
+        ]
+        for (root, _, planned), futures in zip(plans, queued):
+            yield _merge(root.task, chain((result for future in futures for result in future.result()), [planned]))
     finally:
         stop.set()
         pool.shutdown(cancel_futures=True)
@@ -465,10 +490,10 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
         return next(reports)
 
 
-def _merge(task: SearchTask, results, dead: int) -> SearchReport:
-    """Fold shard results in order; find-first stops after the first shard
-    with a solution. The ``dead`` shards come last and are counted only when
-    every shard before them was read."""
+def _merge(task: SearchTask, results) -> SearchReport:
+    """Fold shard results in order, the planner's last; find-first stops after
+    the first result with a solution, so the planner's count of shard values
+    beyond ``m - a_1`` is folded in only when every shard was read."""
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     exhausted = True
@@ -478,8 +503,6 @@ def _merge(task: SearchTask, results, dead: int) -> SearchReport:
         exhausted = exhausted and shard_exhausted
         if task.mode == "find-first" and solutions:
             break
-    else:
-        counters.pruned_by_symmetry += dead
     return SearchReport(task=task, solutions=tuple(solutions), counters=counters, exhausted=exhausted)
 
 

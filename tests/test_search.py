@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from bipmoore import search
+from bipmoore import circulant, search
 from bipmoore.circulant import (
     PhiSpec,
     diameter_at_most_3,
@@ -105,7 +105,7 @@ def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     "d, m",
     [(d, m) for d in range(4, 8) for m in range(max(5, d), d * d - d)]
     + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 52), (8, 53), (8, 54), (8, 55)]
-    + [(9, 68), (9, 69), (9, 70), (9, 71), (10, 89)],
+    + [(9, 66), (9, 67), (9, 68), (9, 69), (9, 70), (9, 71), (10, 89)],
 )
 def test_engine_matches_bound_only_oracle(d, m):
     """Dropping candidates by slack and nodes by the sum of gains or by
@@ -335,13 +335,36 @@ def test_find_first_worker_determinism_degree9():
 def test_dead_shards_counted_not_run():
     """Shard values beyond m - a_1 are symmetry prunes counted by the planner;
     the budget is still split over every shard value."""
-    jobs, dead = search._plan(SearchTask(d=9, m=71, node_budget=100))
-    assert [v for _, v, _ in jobs] == list(range(2, 36))
-    assert dead == 34
-    assert [budget for _, _, budget in jobs] == [2] * 32 + [1] * 2
-    jobs, dead = search._plan(SearchTask(d=9, m=71, prefix=(30,)))
-    assert [v for _, v, _ in jobs] == list(range(31, 42))
-    assert dead == 69 - 41
+    _, jobs, (planned, solutions, exhausted) = search._plan(SearchTask(d=9, m=71, node_budget=100))
+    assert [v for v, _ in jobs] == list(range(2, 36))
+    assert (planned.pruned_by_symmetry, planned.nodes_visited, solutions, exhausted) == (34, 0, [], True)
+    assert [budget for _, budget in jobs] == [2] * 32 + [1] * 2
+    _, jobs, (planned, _, _) = search._plan(SearchTask(d=9, m=71, prefix=(30,)))
+    assert [v for v, _ in jobs] == list(range(31, 42))
+    assert planned.pruned_by_symmetry == 69 - 41
+
+
+def test_root_built_once_per_task(monkeypatch):
+    """The planner lists each task's root candidates once, and its shards
+    read windows of that list: ``shift_mask`` runs once per root candidate
+    and three or four times for the prefix node's ``difference_mask``."""
+    calls = []
+    counted = shift_mask
+
+    def counting(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(circulant, "shift_mask", counting)
+    monkeypatch.setattr(search, "shift_mask", counting)
+    for d in range(5, 11):
+        search_offsets(SearchTask(d=d, m=d * d - d - 1))
+    # 286 root candidates, 2..m-2 for each m, and 3 calls per difference_mask.
+    assert len(calls) == 304
+    calls.clear()
+    search_offsets(SearchTask(d=9, m=71, prefix=(30,)))
+    # Root candidates 31..41, and 4 calls for the shifts -1, 0, 1, 30.
+    assert len(calls) == 15
 
 
 class _FlagRaisedOnRead:
@@ -359,18 +382,19 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
     """A shard reads the pool's stop flag before its first placement and
     after every 64th, and gives up, unexhausted, once it reads it raised."""
     monkeypatch.setattr(search, "_stop_flag", None)
-    job = (SearchTask(d=9, m=71), 4, None)  # 306 nodes when left to run
+    root, _, _ = search._plan(SearchTask(d=9, m=71))
+    job = (4, None)  # 306 nodes when left to run
     raised = threading.Event()
     raised.set()
     search._set_stop_flag(raised)
-    counters, _, exhausted = search._run_shard(job)
+    counters, _, exhausted = search._run_shard(root, *job)
     assert (counters.nodes_visited, exhausted) == (0, False)
     search._set_stop_flag(_FlagRaisedOnRead(3))
-    counters, _, exhausted = search._run_shard(job)
+    counters, _, exhausted = search._run_shard(root, *job)
     assert (counters.nodes_visited, exhausted) == (128, False)
     assert counters.budget_stops == 0
     search._set_stop_flag(threading.Event())
-    counters, _, exhausted = search._run_shard(job)
+    counters, _, exhausted = search._run_shard(root, *job)
     assert (counters.nodes_visited, exhausted) == (306, True)
 
 
@@ -389,9 +413,9 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
 def test_batches_are_the_plan_in_order(task):
     """A task's pool jobs, concatenated, are its shard jobs in shard order,
     and there are at most ``BATCHES_PER_WORKER * workers + 1`` of them."""
-    jobs, _ = search._plan(task)
+    _, jobs, _ = search._plan(task)
     for workers in (1, 2, 3, 8):
-        batches = search._batches(jobs, workers)
+        batches = search._batches(task, jobs, workers)
         assert all(batches)
         assert [job for batch in batches for job in batch] == jobs
         assert len(batches) <= search.BATCHES_PER_WORKER * workers + 1
@@ -400,8 +424,8 @@ def test_batches_are_the_plan_in_order(task):
 def test_find_first_batch_ends_after_first_solution_shard():
     """The smallest d=9, m=65 witness lies in shard a_1 = 5: a batch of every
     shard runs shards 2 to 5 and no more."""
-    jobs, _ = search._plan(SearchTask(d=9, m=65, mode="find-first"))
-    results = search._run_batch(jobs)
+    root, jobs, _ = search._plan(SearchTask(d=9, m=65, mode="find-first"))
+    results = search._run_batch(root, jobs)
     assert [bool(solutions) for _, solutions, _ in results] == [False, False, False, True]
     assert [format_spec(s) for s in results[-1][1]] == ["phi 65: 5,9,27,34,50,53"]
 
@@ -409,21 +433,21 @@ def test_find_first_batch_ends_after_first_solution_shard():
 def test_batch_runs_every_budget_stopped_shard():
     """Budget-stopped shards do not end a find-first batch: it runs each of
     them, as the shards run one by one do, up to the deciding shard."""
-    jobs, _ = search._plan(SearchTask(d=8, m=45, mode="find-first", node_budget=2982))
-    results = search._run_batch(jobs)
+    root, jobs, _ = search._plan(SearchTask(d=8, m=45, mode="find-first", node_budget=2982))
+    results = search._run_batch(root, jobs)
     deciding = len(results) - 1
     assert results[deciding][1] and not any(solutions for _, solutions, _ in results[:deciding])
     assert sum(counters.budget_stops for counters, _, _ in results[:deciding]) > 0
-    assert results == [search._run_shard(job) for job in jobs[: deciding + 1]]
+    assert results == [search._run_shard(root, *job) for job in jobs[: deciding + 1]]
 
 
 def test_stop_flag_ends_batch(monkeypatch):
     """Once the stop flag reads raised, the shard running gives up within 64
     placements and the batch runs no further shard."""
     monkeypatch.setattr(search, "_stop_flag", None)
-    jobs, _ = search._plan(SearchTask(d=9, m=71))
+    root, jobs, _ = search._plan(SearchTask(d=9, m=71))
     search._set_stop_flag(_FlagRaisedOnRead(3))
-    results = search._run_batch(jobs)
+    results = search._run_batch(root, jobs)
     counters, _, exhausted = results[-1]
     assert len(results) < len(jobs)
     assert not exhausted
@@ -466,9 +490,13 @@ def test_partial_prefix():
 def test_fully_pinned_prefix(m):
     """A fully pinned pair is kept exactly when it covers and is canonical;
     no node is placed, and a covering non-canonical pair is one symmetry
-    prune."""
+    prune. The planner settles the pair itself and plans no shard job."""
     for pair in combinations(range(2, m - 1), 2):
-        report = search_offsets(SearchTask(d=5, m=m, prefix=pair))
+        task = SearchTask(d=5, m=m, prefix=pair)
+        _, jobs, planned = search._plan(task)
+        assert jobs == []
+        report = search_offsets(task)
+        assert report == search._merge(task, [planned])
         full = two_step_residues(PhiSpec(m, pair)).full
         canonical = pair <= tuple(sorted(m - a for a in pair))
         c = report.counters
