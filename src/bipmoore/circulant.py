@@ -144,7 +144,10 @@ def build_phi(m: int) -> BipartiteGraph:
 def pair_masks(m: int) -> list[int]:
     """``pair[t]``: the residues ``+-t`` mod m as a bitmask, the two differences
     of shifts ``t`` apart. A negative ``t`` reads the same mask, since
-    ``pair[-t]`` is ``pair[m - t]``. Built once per modulus per process."""
+    ``pair[-t]`` is ``pair[m - t]``. The cache keeps the tables of the two
+    moduli used last, so a table is rebuilt whenever its modulus comes back
+    after two others: each pass over the cap searches d = 5..10, six moduli,
+    rebuilds all six."""
     return [(1 << t) | (1 << (-t % m)) for t in range(m)]
 
 

@@ -17,9 +17,9 @@ cycles; ``ShortCycleSet.cycles`` builds cycle objects only when asked. The
 decomposition labels a pair's cycles ``s2`` at once when ``c > 2`` and adds
 ``c - 1`` to the cycle count of each of its ``2c`` edges; a pair with two
 common neighbors is labeled from its right pair's common count and its four
-edge counts. One list-based union-find over integer vertex ids joins both
-the labeled unions and the repeat relation, and each component's vertex and
-edge sets are built once, at the end.
+edge counts. The labeled unions and the repeat relation are split by one
+sweep over neighbour bitmasks (``_components``), and each component's vertex
+and edge sets are read off its id bitmask.
 ``tests/oracles.py`` keeps the walk over cycle objects this replaced.
 
 Integer vertex ids here are those of ``graphs.adjacency``: a vertex's
@@ -158,20 +158,24 @@ def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
     return ShortCycleSet(pairs=tuple(pairs), per_vertex_count=per_vertex_count)
 
 
-def _root(parent: list[int], x: int) -> int:
-    """The root of ``x`` in the union-find ``parent``, halving its path."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
-def _join(parent: list[int], ids: list[int]) -> None:
-    """Join ``ids`` into one set of the union-find ``parent``."""
-    r = _root(parent, ids[0])
-    for x in ids:
-        x = _root(parent, x)
-        if x != r:
-            parent[x] = r
+def _components(nbr: list[int]) -> list[int]:
+    """The components of the graph with neighbour bitmask ``nbr[x]`` for each
+    id ``x``, as id bitmasks in order of their least id; an id with no
+    neighbour lies in none. Each is swept once, a frontier bitmask at a time."""
+    comps: list[int] = []
+    seen = 0
+    for x, row in enumerate(nbr):
+        if row and not seen >> x & 1:
+            comp = frontier = 1 << x
+            while frontier:
+                reach = 0
+                for y in bits(frontier):
+                    reach |= nbr[y]
+                frontier = reach & ~comp
+                comp |= frontier
+            seen |= comp
+            comps.append(comp)
+    return comps
 
 
 def _index(parts: Iterable[Iterable[Vertex]]) -> dict[Vertex, int]:
@@ -196,18 +200,19 @@ class RepeatStructure:
 
 
 def repeat_structure(g: BipartiteGraph, cycles: ShortCycleSet) -> RepeatStructure:
-    """Opposite vertices of a cycle are repeats: each left pair is joined,
-    and so are all common neighbors of one pair. Sets ordered by least vertex."""
-    n_left = g.n_left
-    parent = list(range(g.order))
+    """Opposite vertices of a cycle are repeats: each left pair is linked,
+    and so are all common neighbors of one pair. Sets ordered by least vertex,
+    which is their least id, since left ids precede right ids."""
+    n_left, left_rows = g.n_left, g.left_rows
+    nbr = [0] * g.order
     for a, b, js in cycles.pairs:
-        _join(parent, [a, b])
-        _join(parent, [n_left + j for j in js])
-    vertex_id = {v: x for x, v in enumerate(g.vertices())}
-    members: dict[int, set[Vertex]] = {}
-    for v in cycles.per_vertex_count:
-        members.setdefault(_root(parent, vertex_id[v]), set()).add(v)
-    sets = sorted((frozenset(s) for s in members.values()), key=min)
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+        common = (left_rows[a] & left_rows[b]) << n_left
+        for j in js:
+            nbr[n_left + j] |= common
+    vertex = list(g.vertices())
+    sets = (frozenset(vertex[x] for x in bits(comp)) for comp in _components(nbr))
     return RepeatStructure(minimal_closed_sets=tuple(sets))
 
 
@@ -403,15 +408,14 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
     recognize their components. Total on any bipartite input; components that
     fail recognition are reported unrecognized, never raised.
 
-    The work is keyed by left pair (see the module docstring). The
-    union-find holds one block of vertex ids per label, since a vertex may
-    lie on cycles of several labels.
+    The work is keyed by left pair (see the module docstring). Each label
+    has its own neighbour list over vertex ids, since a vertex may lie on
+    cycles of several labels.
     """
     cycle_set = short_cycles(g)
     pairs = cycle_set.pairs
     n_left, n_right = g.n_left, g.n_right
-    n = n_left + n_right
-    right_rows = g.right_rows
+    left_rows, right_rows = g.left_rows, g.right_rows
 
     on_edge = [0] * (n_left * n_right)
     for a, b, js in pairs:
@@ -421,15 +425,25 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
             on_edge[row_a + j] += extra
             on_edge[row_b + j] += extra
 
-    # Label each pair's cycles and join the pair's vertices in the label's
-    # block of the union-find. A third common neighbor of either pair closes
-    # a cycle sharing a 2-path; short of that, a cycle sharing an edge shares
-    # a 1-path.
-    parent = list(range(3 * n))
-    pair_label: list[int] = []
-    for a, b, js in pairs:
+    # Label each pair's cycles, number them into ``members``, and link the
+    # pair's left ids to its common right ids in the label's neighbour list.
+    # A third common neighbor of either pair closes a cycle sharing a 2-path;
+    # short of that, a cycle sharing an edge shares a 1-path.
+    nbrs: tuple[list[int], ...] = ([0] * g.order, [0] * g.order, [0] * g.order)
+    members: tuple[list[tuple[_Pair, int, int]], ...] = ([], [], [])
+    labels: list[str] = []
+    s_lists: tuple[list[int], ...] = ([], [], [])
+    for pair in pairs:
+        a, b, js = pair
+        k = len(labels)
+        ends = 1 << a | 1 << b
         if len(js) > 2:
-            lab = 0
+            nbr = nbrs[0]
+            for j in js:
+                nbr[n_left + j] |= ends
+            labels.extend([_LABELS[0]] * (len(js) * (len(js) - 1) // 2))
+            s_lists[0].extend(range(k, len(labels)))
+            members[0].append((pair, k, len(labels)))
         else:
             j1, j2 = js
             row_a, row_b = a * n_right, b * n_right
@@ -444,78 +458,63 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
                 lab = 1
             else:
                 lab = 2
-        pair_label.append(lab)
-        base = lab * n
-        _join(parent, [base + a, base + b, *[base + n_left + j for j in js]])
+            nbr = nbrs[lab]
+            nbr[n_left + j1] |= ends
+            nbr[n_left + j2] |= ends
+            labels.append(_LABELS[lab])
+            s_lists[lab].append(k)
+            members[lab].append((pair, k, k + 1))
+        common = (left_rows[a] & left_rows[b]) << n_left
+        nbr[a] |= common
+        nbr[b] |= common
 
-    # Components in order of their first pair, which is the order of their
-    # least (left) vertex; each gathers vertex ids, edge ids, cycle indices
-    # and its pairs.
-    labels: list[str] = []
-    parts: tuple[dict[int, tuple[set[int], set[int], list[int], list[_Pair]]], ...] = ({}, {}, {})
-    for pair, lab in zip(pairs, pair_label):
-        a, b, js = pair
-        key = _root(parent, lab * n + a)
-        part = parts[lab].get(key)
-        if part is None:
-            part = parts[lab][key] = (set(), set(), [], [])
-        ids, edge_ids, indices, comp_pairs = part
-        comp_pairs.append(pair)
-        ids.add(a)
-        ids.add(b)
-        row_a, row_b = a * n_right, b * n_right
-        for j in js:
-            ids.add(n_left + j)
-            edge_ids.add(row_a + j)
-            edge_ids.add(row_b + j)
-        count = len(js) * (len(js) - 1) // 2
-        indices.extend(range(len(labels), len(labels) + count))
-        labels.extend([_LABELS[lab]] * count)
-
+    # Each label's components, in order of their least (left) id; a pair
+    # belongs to the component of its vertex ``a``, and a component's edges
+    # are the label rows of its left ids.
     vertex = list(g.vertices())
-    built = [
-        [
+    left_ids = (1 << n_left) - 1
+    built, covered = [], []
+    for nbr, label_indices, label_members in zip(nbrs, s_lists, members):
+        comps = _components(nbr)
+        if len(comps) == 1:  # one component, as on the degree-11 records
+            indices, comp_pairs = [label_indices], [[pair for pair, _, _ in label_members]]
+        else:
+            comp_of = [0] * n_left
+            for c, comp in enumerate(comps):
+                for i in bits(comp & left_ids):
+                    comp_of[i] = c
+            indices, comp_pairs = [[] for _ in comps], [[] for _ in comps]
+            for pair, first, end in label_members:
+                indices[comp_of[pair[0]]].extend(range(first, end))
+                comp_pairs[comp_of[pair[0]]].append(pair)
+        built.append([
             (
-                frozenset(vertex[x] for x in ids),
-                frozenset(divmod(e, n_right) for e in edge_ids),
-                tuple(indices),
-                comp_pairs,
+                frozenset(vertex[x] for x in bits(comp)),
+                frozenset((i, j) for i in bits(comp & left_ids) for j in bits(nbr[i] >> n_left)),
+                tuple(ks),
+                ps,
             )
-            for ids, edge_ids, indices, comp_pairs in side.values()
-        ]
-        for side in parts
-    ]
+            for comp, ks, ps in zip(comps, indices, comp_pairs)
+        ])
+        covered.append(sum(comps))  # disjoint masks: their sum is their union
     gamma2 = tuple(
         ThetaComponent(vertices, edges, indices, *_recognize_theta(vertices, edges, len(indices)))
         for vertices, edges, indices, _ in built[0]
     )
     gamma1 = tuple(
-        PhiComponent(
-            vertices, edges, indices, *_recognize_phi(vertices, edges, _cycles_of(comp_pairs))
-        )
-        for vertices, edges, indices, comp_pairs in built[1]
+        PhiComponent(vertices, edges, indices, *_recognize_phi(vertices, edges, _cycles_of(ps)))
+        for vertices, edges, indices, ps in built[1]
     )
     gamma0 = tuple(Gamma0Part(*part[:3]) for part in built[2])
 
-    s2, s1, s0 = (tuple(k for k, lab in enumerate(labels) if lab == want) for want in _LABELS)
-    v2, v1, v0 = (frozenset().union(*(part[0] for part in side)) for side in built)
-    on_cycles = v2 | v1 | v0
-    residue = frozenset(v for v in vertex if v not in on_cycles)
-    disjoint = not (v2 & v1 or v2 & v0 or v1 & v0)
+    m2, m1, m0 = covered
+    v2, v1, v0 = (frozenset(vertex[x] for x in bits(mask)) for mask in covered)
+    residue = frozenset(vertex[x] for x in bits(~(m2 | m1 | m0) & ((1 << g.order) - 1)))
+    disjoint = not (m2 & m1 or m2 & m0 or m1 & m0)
+    s2, s1, s0 = (tuple(ks) for ks in s_lists)
     return Decomposition(
-        cycles=cycle_set,
-        labels=tuple(labels),
-        s2=s2,
-        s1=s1,
-        s0=s0,
-        v2=v2,
-        v1=v1,
-        v0=v0,
-        gamma2=gamma2,
-        gamma1=gamma1,
-        gamma0=gamma0,
-        residue=residue,
-        disjoint=disjoint,
+        cycles=cycle_set, labels=tuple(labels), s2=s2, s1=s1, s0=s0, v2=v2, v1=v1, v0=v0,
+        gamma2=gamma2, gamma1=gamma1, gamma0=gamma0, residue=residue, disjoint=disjoint,
     )
 
 

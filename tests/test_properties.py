@@ -1,7 +1,7 @@
 """Property tests on generated inputs: the all-sources diameter against
 breadth-first search, residue coverage against the diameter, the two rules
 of ``B - B`` masks the search's child filter rests on, and the pair-keyed
-decomposition against the cycle walk it replaced.
+decomposition and repeat relation against the cycle walk they replaced.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from bipmoore.circulant import PhiSpec, build_phi_spec, diameter_at_most_3, difference_mask, pair_masks, shift_mask
 from bipmoore.graphs import BipartiteGraph, diameter
-from bipmoore.structure import check_observations, classify_and_decompose
-from oracles import decomposition_oracle, diameter_oracle
+from bipmoore.structure import check_observations, classify_and_decompose, repeat_structure
+from oracles import components_oracle, cycle_walk_oracle, decomposition_oracle, diameter_oracle
 
 FIXED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -81,3 +81,6 @@ def test_decomposition_matches_oracle(g):
     assert dec == want
     assert list(dec.cycles.per_vertex_count.items()) == list(want.cycles.per_vertex_count.items())
     assert check_observations(g, dec, 4).to_dict() == check_observations(g, want, 4).to_dict()
+    repeats = [pair for c in cycle_walk_oracle(g) for pair in c.repeat_pairs()]
+    closed = repeat_structure(g, dec.cycles).minimal_closed_sets
+    assert closed == tuple(sorted(components_oracle(repeats), key=min))
