@@ -22,6 +22,13 @@ sweep over neighbour bitmasks (``_components``), and each component's vertex
 and edge sets are read off its id bitmask.
 ``tests/oracles.py`` keeps the walk over cycle objects this replaced.
 
+``find_isomorphism`` runs each test only when the cheaper ones before it
+cannot decide: order and edge count, then the sizes of the two-step
+neighbourhoods (``_two_step_invariant``), then individualization-refinement
+search. The common-neighbour histogram (``_pair_invariant``) is computed only
+when the search is about to leave its first branch, and ends the search when
+the two graphs' histograms differ.
+
 Integer vertex ids here are those of ``graphs.adjacency``: a vertex's
 position in ``g.vertices()``, left ``i`` and right ``n_left + j``. Ids and
 vertices are converted only through that list.
@@ -32,6 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .bounds import moore_bound
@@ -771,10 +779,10 @@ def _refine(
     n = len(colors1)
     while True:
         keys1 = [
-            (colors1[v], tuple(sorted(colors1[u] for u in adj1[v]))) for v in range(n)
+            (c, tuple(sorted(map(colors1.__getitem__, nbrs)))) for c, nbrs in zip(colors1, adj1)
         ]
         keys2 = [
-            (colors2[v], tuple(sorted(colors2[u] for u in adj2[v]))) for v in range(n)
+            (c, tuple(sorted(map(colors2.__getitem__, nbrs)))) for c, nbrs in zip(colors2, adj2)
         ]
         palette = {key: idx for idx, key in enumerate(sorted(set(keys1)))}
         if set(keys2) != set(palette):
@@ -789,8 +797,17 @@ def _refine(
 
 
 def _match(
-    adj1: list[list[int]], adj2: list[list[int]], colors1: list[int], colors2: list[int]
+    adj1: list[list[int]],
+    adj2: list[list[int]],
+    colors1: list[int],
+    colors2: list[int],
+    cut: Callable[[], bool],
 ) -> list[int] | None:
+    """The id map at the first leaf of the depth-first search, or None.
+
+    ``cut()`` is asked before each candidate after the first, at any depth,
+    and the search ends with None when it is true.
+    """
     refined = _refine(adj1, adj2, colors1, colors2)
     if refined is None:
         return None
@@ -808,12 +825,14 @@ def _match(
     target = min(split, key=lambda c: (counts[c], c))
     fresh = max(max(colors1), max(colors2)) + 1
     v = next(u for u in range(len(colors1)) if colors1[u] == target)
-    for w in (u for u in range(len(colors2)) if colors2[u] == target):
+    for k, w in enumerate(u for u in range(len(colors2)) if colors2[u] == target):
+        if k and cut():
+            return None
         c1 = list(colors1)
         c2 = list(colors2)
         c1[v] = fresh
         c2[w] = fresh
-        result = _match(adj1, adj2, c1, c2)
+        result = _match(adj1, adj2, c1, c2, cut)
         if result is not None:
             return result
     return None
@@ -829,6 +848,23 @@ def _pair_invariant(g: BipartiteGraph) -> tuple:
     return tuple(sorted((side_hist(g.left_rows), side_hist(g.right_rows))))
 
 
+def _two_step_invariant(g: BipartiteGraph) -> tuple:
+    """Sound isomorphism invariant: per-side sorted sizes of the two-step
+    neighbourhoods ``N(N(v))``, one OR per edge, as an unordered side pair."""
+    def side_sizes(rows: tuple[int, ...], across: tuple[int, ...]) -> tuple[int, ...]:
+        sizes = []
+        for row in rows:
+            reach = 0
+            for j in bits(row):
+                reach |= across[j]
+            sizes.append(reach.bit_count())
+        return tuple(sorted(sizes))
+
+    left = side_sizes(g.left_rows, g.right_rows)
+    right = side_sizes(g.right_rows, g.left_rows)
+    return tuple(sorted((left, right)))
+
+
 #: Largest vertex count ``find_isomorphism`` accepts.
 MAX_ISO_ORDER = 500
 
@@ -836,22 +872,40 @@ MAX_ISO_ORDER = 500
 def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Vertex] | None:
     """Exact isomorphism witness (vertex bijection), or None.
 
-    Uses iterated color refinement with individualization backtracking over
-    ``graphs.adjacency`` ids. The sides start as two colors, and ``g2`` is
-    tried with its sides kept, then swapped, so side-swapped matches are
-    found; the first refinement round compares the side sizes and degrees.
-    Instances above ``MAX_ISO_ORDER`` vertices are refused.
+    Each test runs only when the cheaper ones before it cannot decide:
+
+    1. order and edge count;
+    2. ``_two_step_invariant``, a gate that rejects most non-isomorphic
+       pairs with no search;
+    3. iterated color refinement with individualization backtracking over
+       ``graphs.adjacency`` ids. The sides start as two colors, and ``g2``
+       is tried with its sides kept, then swapped, so side-swapped matches
+       are found; the first refinement round compares the side sizes and
+       degrees. The first branch of the search is tried at once. Just
+       before the search leaves it (a second candidate at any depth, or the
+       side-swapped start), ``_pair_invariant`` of both graphs is computed,
+       once per call, and the search ends with None when they differ.
+
+    The search order is fixed, so the map returned is the first leaf of the
+    depth-first search. A non-isomorphic pair that ties on the two-step
+    invariant pays one first-branch descent before the pair invariant
+    rejects it. Instances above ``MAX_ISO_ORDER`` vertices are refused.
     """
     if g1.order > MAX_ISO_ORDER or g2.order > MAX_ISO_ORDER:
         raise BudgetError(f"isomorphism capped at {MAX_ISO_ORDER} vertices")
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return None
-    if _pair_invariant(g1) != _pair_invariant(g2):
+    if _two_step_invariant(g1) != _two_step_invariant(g2):
         return None
+    cut = cache(lambda: _pair_invariant(g1) != _pair_invariant(g2))
     adj1, adj2 = adjacency(g1), adjacency(g2)
     colors1 = [0] * g1.n_left + [1] * g1.n_right
-    for left2, right2 in ((0, 1), (1, 0)):
-        mapping = _match(adj1, adj2, colors1, [left2] * g2.n_left + [right2] * g2.n_right)
+    for k, (left2, right2) in enumerate(((0, 1), (1, 0))):
+        if k and cut():
+            return None
+        mapping = _match(
+            adj1, adj2, colors1, [left2] * g2.n_left + [right2] * g2.n_right, cut
+        )
         if mapping is not None:
             vertex2 = list(g2.vertices())
             return {v: vertex2[w] for v, w in zip(g1.vertices(), mapping)}

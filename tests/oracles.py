@@ -12,7 +12,7 @@ which reads common-neighbour counts from the graph's bitset rows.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
 from bipmoore.structure import (
@@ -332,6 +332,27 @@ def pair_invariant_oracle(g: BipartiteGraph) -> tuple:
         return tuple(sorted(hist.items()))
 
     return tuple(sorted((side_hist(left), side_hist(right))))
+
+
+def isomorphic_oracle(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
+    """Whether some bijection takes every edge of ``g1`` to an edge of
+    ``g2``, trying every side-preserving and every side-swapping one.
+
+    With equal edge counts such a bijection is an isomorphism. The cost is
+    ``n_left! * n_right!`` per side choice, so only tiny graphs qualify.
+    """
+    if g1.edge_count != g2.edge_count:
+        return False
+    edges1 = [(i, j) for i in range(g1.n_left) for j in g1.left_neighbors(i)]
+    for h in (g2, g2.transpose()):
+        if (h.n_left, h.n_right) != (g1.n_left, g1.n_right):
+            continue
+        edges2 = {(i, j) for i in range(h.n_left) for j in h.left_neighbors(i)}
+        for left in permutations(range(h.n_left)):
+            for right in permutations(range(h.n_right)):
+                if all((left[i], right[j]) in edges2 for i, j in edges1):
+                    return True
+    return False
 
 
 def components_oracle(groups) -> set[frozenset]:

@@ -177,37 +177,42 @@ def test_max_m(capsys):
     assert payload["witnesses"] == ["phi 11: 4"]
 
 
+#: ``(argv, exit status, standard output)`` of the text-mode search and scan.
+TEXT_CASES = [
+    (
+        ("search", "--d", "4", "--m", "11"),
+        0,
+        "1 solutions, exhausted\n  phi 11: 4\n"
+        "nodes 1, bound prunes 0, symmetry prunes 4\n",
+    ),
+    (
+        ("search", "--d", "9", "--m", "65", "--first"),
+        0,
+        "1 solutions, partial\n  phi 65: 5,9,27,34,50,53\n"
+        "nodes 14627, bound prunes 12780, symmetry prunes 6\n",
+    ),
+    (
+        ("max-m", "--d", "5"),
+        0,
+        "largest modulus in [5, 19] with a witness: 19\n  phi 19: 5,8\n",
+    ),
+    (
+        ("max-m", "--d", "7", "--from", "40", "--to", "41"),
+        0,
+        "no witness for any modulus in [40, 41]\n",
+    ),
+    (
+        ("max-m", "--d", "7", "--budget", "10"),
+        3,
+        "inconclusive: budget ran out before the range was settled\n",
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "argv, expected_code, expected_out",
-    [
-        (
-            ("search", "--d", "4", "--m", "11"),
-            0,
-            "1 solutions, exhausted\n  phi 11: 4\n"
-            "nodes 1, bound prunes 0, symmetry prunes 4\n",
-        ),
-        (
-            ("search", "--d", "9", "--m", "65", "--first"),
-            0,
-            "1 solutions, partial\n  phi 65: 5,9,27,34,50,53\n"
-            "nodes 14627, bound prunes 12780, symmetry prunes 6\n",
-        ),
-        (
-            ("max-m", "--d", "5"),
-            0,
-            "largest modulus in [5, 19] with a witness: 19\n  phi 19: 5,8\n",
-        ),
-        (
-            ("max-m", "--d", "7", "--from", "40", "--to", "41"),
-            0,
-            "no witness for any modulus in [40, 41]\n",
-        ),
-        (
-            ("max-m", "--d", "7", "--budget", "10"),
-            3,
-            "inconclusive: budget ran out before the range was settled\n",
-        ),
-    ],
+    TEXT_CASES,
+    ids=[" ".join(argv) for argv, *_ in TEXT_CASES],
 )
 def test_search_and_max_m_text(capsys, argv, expected_code, expected_out):
     code, out, err = run(capsys, *argv)

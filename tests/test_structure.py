@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from bipmoore import structure
 from bipmoore.bounds import moore_bound
 from bipmoore.circulant import PhiSpec, build_phi, build_phi_spec, build_theta, parse_spec
 from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph
@@ -17,6 +18,7 @@ from bipmoore.structure import (
     classify_and_decompose,
     _pair_invariant,
     _recognize_phi,
+    _two_step_invariant,
     find_isomorphism,
     repeat_structure,
     short_cycles,
@@ -28,6 +30,7 @@ from oracles import (
     cycle_walk_oracle,
     decomposition_oracle,
     four_cycles_oracle,
+    isomorphic_oracle,
     pair_invariant_oracle,
     pairwise_labels_oracle,
     random_bipartite,
@@ -642,17 +645,144 @@ def test_different_shapes_not_isomorphic():
     assert find_isomorphism(build_phi(5), build_phi(6)) is None
 
 
+def relabelled(g: BipartiteGraph, rng: random.Random) -> BipartiteGraph:
+    """``g`` with both sides renumbered by seeded random permutations."""
+    perm_l = rng.sample(range(g.n_left), g.n_left)
+    perm_r = rng.sample(range(g.n_right), g.n_right)
+    lists: list[list[int]] = [[] for _ in range(g.n_left)]
+    for i in range(g.n_left):
+        lists[perm_l[i]] = sorted(perm_r[j] for j in g.left_neighbors(i))
+    return BipartiteGraph.from_neighbor_lists(lists, g.n_right)
+
+
+def moved_edge(g: BipartiteGraph, rng: random.Random) -> BipartiteGraph:
+    """``g`` with one random edge moved to a random non-edge, when both exist."""
+    edges = [(i, j) for i in range(g.n_left) for j in g.left_neighbors(i)]
+    gaps = [(i, j) for i in range(g.n_left) for j in range(g.n_right) if not g.has_edge(i, j)]
+    if not edges or not gaps:
+        return g
+    edges.remove(rng.choice(edges))
+    return BipartiteGraph.from_edges(g.n_left, g.n_right, edges + [rng.choice(gaps)])
+
+
+def counted(monkeypatch, name: str) -> list[tuple]:
+    """Wrap ``structure.<name>`` so that each call's arguments are recorded."""
+    calls: list[tuple] = []
+    real = getattr(structure, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(structure, name, wrapper)
+    return calls
+
+
+#: Non-isomorphic 4 + 4 pairs, as left neighbour lists, that tie on the
+#: edge count and both invariants, so that the search alone must tell them
+#: apart; found by enumerating all 4 + 4 graphs.
+INVARIANT_TIES = (
+    ([[1, 2], [0], [0], []], [[0, 2], [1], [0], []]),
+    ([[1, 2, 3], [0], [0], []], [[0, 2, 3], [1], [0], []]),
+    ([[1, 2, 3], [0, 1], [0], []], [[0, 1, 3], [1, 2], [0], []]),
+    ([[0, 2, 3], [0, 1], [0, 1], []], [[0, 1, 3], [0, 2], [0, 1], []]),
+)
+
+
+def test_find_isomorphism_matches_brute_force_oracle():
+    """Verdicts agree with trying every bijection, on relabellings,
+    transposes and one-edge moves of tiny random graphs and on invariant
+    ties; maps are valid."""
+    rng = random.Random(20261019)
+    pairs = []
+    for _ in range(400):
+        g = random_bipartite(rng, rng.randint(1, 4), rng.randint(1, 4), rng.choice((0.3, 0.5, 0.7)))
+        h = relabelled(g, rng)
+        if rng.random() < 0.5:
+            h = h.transpose()
+        if rng.random() < 0.7:
+            h = moved_edge(h, rng)
+        pairs.append((g, h))
+    for lists in INVARIANT_TIES:
+        a, b = (BipartiteGraph.from_neighbor_lists(nbrs, 4) for nbrs in lists)
+        assert _two_step_invariant(a) == _two_step_invariant(b)
+        assert _pair_invariant(a) == _pair_invariant(b)
+        pairs += [(a, b), (a, relabelled(b, rng).transpose())]
+    verdicts = Counter()
+    for g, h in pairs:
+        expected = isomorphic_oracle(g, h)
+        mapping = find_isomorphism(g, h)
+        assert (mapping is not None) == expected, (g, h)
+        if mapping is not None:
+            assert verify_isomorphism(g, h, mapping)
+        verdicts[expected] += 1
+    assert min(verdicts[True], verdicts[False]) >= 80
+
+
+def test_relabelled_record_skips_pair_invariant(monkeypatch):
+    """The first branch of the search succeeds on a relabelled record, so
+    the pair invariant is never computed."""
+    record = build_phi_spec(parse_spec(KNOWN_DEGREE11_SPECS[0]))
+    rng = random.Random(23)
+    pair_calls = counted(monkeypatch, "_pair_invariant")
+    for other in (relabelled(record, rng), relabelled(record, rng).transpose()):
+        mapping = find_isomorphism(record, other)
+        assert mapping is not None and verify_isomorphism(record, other, mapping)
+    assert pair_calls == []
+
+
+def test_perturbed_record_rejected_by_two_step_gate(monkeypatch):
+    """Replacing offset 81 by 49 changes the two-step neighbourhood sizes,
+    and the gate rejects the pair before any refinement."""
+    record = build_phi_spec(parse_spec("phi 95: 4,7,16,27,38,52,62,81"))
+    perturbed = build_phi_spec(parse_spec("phi 95: 4,7,16,27,38,49,52,62"))
+    assert _two_step_invariant(record) != _two_step_invariant(perturbed)
+    refine_calls = counted(monkeypatch, "_refine")
+    pair_calls = counted(monkeypatch, "_pair_invariant")
+    assert find_isomorphism(record, perturbed) is None
+    assert refine_calls == [] and pair_calls == []
+
+
+def test_pair_invariant_cuts_search_once_per_graph(monkeypatch):
+    """Two 3-regular graphs on 5 + 5 vertices that tie on the two-step
+    invariant: the first branch fails, and the pair invariant, computed
+    once per graph, ends the search."""
+    a = BipartiteGraph.from_neighbor_lists(
+        [[1, 2, 3], [0, 2, 3], [0, 3, 4], [0, 1, 4], [1, 2, 4]], 5
+    )
+    b = BipartiteGraph.from_neighbor_lists(
+        [[1, 2, 3], [1, 2, 3], [0, 2, 4], [0, 3, 4], [0, 1, 4]], 5
+    )
+    assert _two_step_invariant(a) == _two_step_invariant(b)
+    assert _pair_invariant(a) != _pair_invariant(b)
+    pair_calls = counted(monkeypatch, "_pair_invariant")
+    assert find_isomorphism(a, b) is None
+    assert [args[0] for args in pair_calls] == [a, b]
+    assert not isomorphic_oracle(a, b)
+
+
+def test_isomorphic_pair_found_after_failed_first_branch(monkeypatch):
+    """A 4-cycle plus an 8-cycle, and the same with the 8-cycle numbered
+    first: individualizing a 4-cycle vertex against 8-cycle vertices fails
+    four times before the match. The search order, and so the number of
+    refinements and the map, are pinned."""
+    g = BipartiteGraph.from_neighbor_lists([[0, 1], [0, 1], [2, 3], [3, 4], [4, 5], [5, 2]], 6)
+    h = BipartiteGraph.from_neighbor_lists([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [4, 5]], 6)
+    refine_calls = counted(monkeypatch, "_refine")
+    pair_calls = counted(monkeypatch, "_pair_invariant")
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None and verify_isomorphism(g, h, mapping)
+    assert len(refine_calls) == 9
+    assert len(pair_calls) == 2
+    shift = {0: 4, 1: 5, 2: 0, 3: 1, 4: 2, 5: 3}
+    assert mapping == {(side, k): (side, shift[k]) for side in (LEFT, RIGHT) for k in range(6)}
+
+
 def test_relabelled_graphs_isomorphic():
     rng = random.Random(123123)
     for _ in range(10):
-        nl, nr = rng.randint(2, 7), rng.randint(2, 7)
-        g = random_bipartite(rng, nl, nr, 0.5)
-        perm_l = rng.sample(range(nl), nl)
-        perm_r = rng.sample(range(nr), nr)
-        lists: list[list[int]] = [[] for _ in range(nl)]
-        for i in range(nl):
-            lists[perm_l[i]] = sorted(perm_r[j] for j in g.left_neighbors(i))
-        h = BipartiteGraph.from_neighbor_lists(lists, nr)
+        g = random_bipartite(rng, rng.randint(2, 7), rng.randint(2, 7), 0.5)
+        h = relabelled(g, rng)
         mapping = find_isomorphism(g, h)
         assert mapping is not None
         assert verify_isomorphism(g, h, mapping)
