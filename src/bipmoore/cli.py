@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Callable, Sequence
 from itertools import combinations
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true")
     workers_flag = argparse.ArgumentParser(add_help=False)
-    workers_flag.add_argument("--workers", type=_workers, default=os.environ.get("BIPMOORE_WORKERS", "1"))
+    workers_flag.add_argument("--workers", type=_workers, default=1)
 
     p = sub.add_parser("bound", parents=[json_flag], help="bipartite Moore bound and defect arithmetic")
     p.add_argument("d", type=_degree)

@@ -55,8 +55,7 @@ recursive call.
 Sharding is by the value ``v`` of the first free offset position. The
 planner builds each task's root once: the prefix node's coverage and its
 live candidates up to the largest ``m - a_1`` of any shard. Each shard
-runs from the root's window ``[v, m - a_1]``, found by bisection, and a
-pool job carries the root once with its shards' values and budgets. Shards
+runs from the root's window ``[v, m - a_1]``, found by bisection. Shards
 whose value already exceeds ``m - a_1`` hold nothing canonical: the planner
 counts them as symmetry prunes, and they are never run. A fully pinned
 prefix is a leaf that the planner settles in the calling process, with no
@@ -68,39 +67,35 @@ the smallest canonical solution and the work of the shards up to it. A
 node budget is split across all shard values so that the shard budgets sum
 to it. Reports are byte-identical for any worker count.
 
-Every search, and every ``max_m`` scan, runs through one generator of
-merged reports, and every shard runs through one loop, ``_run_batch``, over
-consecutive shards of one task. One worker runs each task's shards as one
-batch. With more than one worker the call starts one process pool, and a
-pool job is a batch of consecutive shards: each batch holds about a
-``1 / (4 * workers)`` share of its task's estimated size, so the many
-small shards at the end of the order travel together. The batches of every
-modulus are queued at once, in order, so workers do not idle at a modulus
-boundary. A find-first batch ends after its first shard with a solution.
-When the reader stops reading, it raises a stop flag shared with the
-workers, whose shards give up within 64 placements and whose batches run no
-further shard, and shuts the pool down before the call returns, so every
-worker has been reaped by then. ``multiprocessing`` and
-``concurrent.futures`` are imported by the first call that starts a pool,
-so a process that runs one worker never loads them.
+Every search, and every ``max_m`` scan, runs its shards through one loop,
+``_work``. The shards of all its tasks form one list, in task and shard
+order. A worker takes the next index from a shared counter and runs that
+shard, and stops once the counter passes a shared cutoff, the last shard
+the reader will read. A find-first solution lowers the cutoff to its own
+shard, and a budget stop to the last shard of its task, which is where
+``max_m`` stops. A shard beyond the cutoff gives up within 64 placements.
+The reader merges the results in shard order and returns the reports up
+to the task that holds the cutoff. One worker runs the loop in the calling
+process. More workers share the counter and the cutoff through one process
+pool, which is sent one job per worker; on any exit, an exception or an
+interrupt included, the cutoff drops below every index before the pool
+shuts down, so every worker has been reaped when the call returns.
+``multiprocessing`` and ``concurrent.futures`` are imported by the first
+call that starts a pool, so a process that runs one worker never loads
+them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator
-from contextlib import closing
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
-from math import comb
 
 from .bounds import max_m_upper_bound
 from .circulant import FIXED_SHIFTS, PhiSpec, canonicalize, difference_mask, format_spec, pair_masks, shift_mask
 
 MODES = ("find-all", "find-first")
-
-#: How many pool jobs per worker ``_batches`` cuts a task into, about.
-BATCHES_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -211,18 +206,7 @@ class SearchReport:
 
 
 class _StopShard(Exception):
-    """Internal unwind for budget exhaustion / find-first early stop / stop flag."""
-
-
-#: The stop flag of the pool this process works for, set by the pool's
-#: initializer in each worker; None in every other process.
-_stop_flag = None
-
-
-def _set_stop_flag(flag) -> None:
-    """Pool initializer: remember the flag the reader raises when it stops reading."""
-    global _stop_flag
-    _stop_flag = flag
+    """Internal unwind for budget exhaustion / find-first early stop / cutoff."""
 
 
 def _support_cut(uncovered: int, live: list, r: int, m: int, count: int) -> int:
@@ -288,12 +272,16 @@ def _accept(spec: PhiSpec, counters: SearchCounters, solutions: list[PhiSpec]) -
     return False
 
 
-def _run_shard(root: _Root, v: int, budget: int | None) -> tuple[SearchCounters, list[PhiSpec], bool]:
+def _run_shard(
+    root: _Root, v: int, budget: int | None, index: int, shared
+) -> tuple[SearchCounters, list[PhiSpec], bool]:
     """Explore the subtree where the first free position takes ``v``.
 
     The shard's live list is the root's window ``[v, m - a_1]``, found by
     bisection, and the shard places only ``v``. A shard value beyond
-    ``m - a_1`` never reaches here (see ``_plan``).
+    ``m - a_1`` never reaches here (see ``_plan``). Unless ``shared`` is
+    None, shard ``index`` gives up once the workers' cutoff ``shared[1]``
+    falls below it, read before its first placement and after every 64th.
     """
     m, d = root.task.m, root.task.d
     pair = pair_masks(m)
@@ -302,7 +290,6 @@ def _run_shard(root: _Root, v: int, budget: int | None) -> tuple[SearchCounters,
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     find_first = root.task.mode == "find-first"
-    stop = _stop_flag
     # The connection set of the walk's current node; the prefix is not
     # counted as nodes.
     shifts = list(PhiSpec(m, root.task.prefix).shifts)
@@ -317,7 +304,7 @@ def _run_shard(root: _Root, v: int, budget: int | None) -> tuple[SearchCounters,
             if budget is not None and counters.nodes_visited >= budget:
                 counters.budget_stops += 1
                 raise _StopShard
-            if stop is not None and not counters.nodes_visited & 63 and stop.is_set():
+            if shared is not None and not counters.nodes_visited & 63 and shared[1] < index:
                 raise _StopShard
             counters.nodes_visited += 1
             v, mask_v, _ = live[i]
@@ -403,79 +390,91 @@ def _plan(task: SearchTask) -> tuple[_Root, list[tuple[int, int | None]], tuple[
     return _Root(task, covered, live), jobs, (SearchCounters(pruned_by_symmetry=len(values) - len(jobs)), [], True)
 
 
-def _shard_size(task: SearchTask, v: int) -> int:
-    """A deterministic size estimate of shard ``v``: the ways to choose the
-    offsets left after ``v`` from the candidates in ``(v, m - a_1]``, plus
-    one."""
-    return comb(_sym_cap(task, v) - v, task.d - 4 - len(task.prefix)) + 1
+def _work(shards: list, state, lock=None) -> dict[int, tuple[SearchCounters, list[PhiSpec], bool]]:
+    """Run shards in order, each the next index of the shared counter
+    ``state[0]``, until that index passes the shared cutoff ``state[1]``;
+    their results by index.
 
-
-def _batches(task: SearchTask, jobs: list, workers: int) -> list[list]:
-    """A task's shard jobs cut, in order, into runs of consecutive shards,
-    each closed once it holds ``1 / (BATCHES_PER_WORKER * workers)`` of the
-    task's estimated size; so at most ``BATCHES_PER_WORKER * workers + 1``."""
-    sizes = [_shard_size(task, v) for v, _ in jobs]
-    share = sum(sizes)
-    batches: list[list] = [[]]
-    held = 0
-    for job, size in zip(jobs, sizes):
-        batches[-1].append(job)
-        held += size
-        if held * BATCHES_PER_WORKER * workers >= share:
-            batches.append([])
-            held = 0
-    return [batch for batch in batches if batch]
-
-
-def _run_batch(root: _Root, jobs: list) -> list[tuple[SearchCounters, list[PhiSpec], bool]]:
-    """Run consecutive shard jobs of one task from its root, in order; their
-    results.
-
-    A find-first batch ends after its first shard with a solution, and every
-    batch ends once the pool's stop flag is raised. A budget-stopped shard
-    does not end it.
+    A find-first shard with a solution lowers the cutoff to its own index,
+    and a budget-stopped shard to the last shard of its task. ``lock``
+    guards both values when workers share them; without one the caller is
+    the only worker, so no shard runs beyond the cutoff and none polls it.
     """
-    results = []
-    for v, budget in jobs:
-        results.append(result := _run_shard(root, v, budget))
-        if result[1] and root.task.mode == "find-first" or _stop_flag is not None and _stop_flag.is_set():
-            break
-    return results
+    results = {}
+    while True:
+        with lock or nullcontext():
+            i = state[0]
+            state[0] = i + 1
+        if i > state[1]:
+            return results
+        root, v, budget, last = shards[i]
+        results[i] = counters, solutions, _ = _run_shard(root, v, budget, i, state if lock else None)
+        found = solutions and root.task.mode == "find-first"
+        if found or counters.budget_stops:
+            with lock or nullcontext():
+                state[1] = min(state[1], i if found else last)
 
 
-def _reports(tasks: list[SearchTask], workers: int) -> Iterator[SearchReport]:
-    """Each task's merged report, in task order.
+#: ``(shards, state)`` of the pool this process works for, set by the pool's
+#: initializer in each worker.
+_pooled: tuple = ()
 
-    One worker runs each task's shards as one batch. With ``workers > 1``
-    one pool serves every task, and every task's batches are queued at
-    once, in order, each with its task's root. Close the generator once
-    done reading (``contextlib.closing``): closing raises the stop flag,
-    cancels what is still queued and waits for the workers to exit.
+
+def _set_pooled(*pooled) -> None:
+    """Pool initializer: remember the call's shards and shared state."""
+    global _pooled
+    _pooled = pooled
+
+
+def _pool_job() -> dict:
+    """One worker's job: ``_work`` over the pool's shards, under the lock of
+    its shared state."""
+    shards, state = _pooled
+    return _work(shards, state, state.get_lock())
+
+
+def _search(tasks: list[SearchTask], workers: int) -> list[SearchReport]:
+    """The merged reports of ``tasks``, in order, up to the task that holds
+    the cutoff: every task's when no shard lowered it.
+
+    The shards of all tasks form one list in task and shard order. One
+    worker runs ``_work`` over it in this process. More workers share its
+    counter and cutoff through one pool, which is sent one ``_work`` job
+    per worker; on any exit the cutoff drops below every index, so the
+    shards still running give up, before the pool shuts down.
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    # One worker plans each task as it comes to it, so a scan that stops
-    # early builds no root beyond the modulus it stops at.
-    plans = [_plan(task) for task in tasks] if workers > 1 else map(_plan, tasks)
-    if workers == 1 or sum(len(jobs) for _, jobs, _ in plans) <= 1:
-        for root, jobs, planned in plans:
-            yield _merge(root.task, chain(_run_batch(root, jobs), [planned]))
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    plans = [_plan(task) for task in tasks]
+    shards = []
+    for root, jobs, _ in plans:
+        last = len(shards) + len(jobs) - 1
+        shards += [(root, v, budget, last) for v, budget in jobs]
+    state = [0, len(shards) - 1]
+    if workers == 1 or len(shards) <= 1:
+        results = _work(shards, state)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    stop = multiprocessing.Event()
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_stop_flag, initargs=(stop,))
-    try:
-        queued = [
-            [pool.submit(_run_batch, root, batch) for batch in _batches(root.task, jobs, workers)]
-            for root, jobs, _ in plans
-        ]
-        for (root, _, planned), futures in zip(plans, queued):
-            yield _merge(root.task, chain((result for future in futures for result in future.result()), [planned]))
-    finally:
-        stop.set()
-        pool.shutdown(cancel_futures=True)
+        shared = multiprocessing.Array("q", state)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_pooled, initargs=(shards, shared))
+        try:
+            results = {}
+            for future in [pool.submit(_pool_job) for _ in range(workers)]:
+                results.update(future.result())
+            state = shared[:]
+        finally:
+            shared[1] = -1
+            pool.shutdown(cancel_futures=True)
+    reports: list[SearchReport] = []
+    end = 0
+    for root, jobs, planned in plans:
+        start, end = end, end + len(jobs)
+        reports.append(_merge(root.task, chain((results[i] for i in range(start, end)), [planned])))
+        if end > state[1]:
+            break
+    return reports
 
 
 def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
@@ -486,8 +485,7 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
     candidate space was visited. A pool started for ``workers > 1`` is shut
     down before the call returns.
     """
-    with closing(_reports([task], workers)) as reports:
-        return next(reports)
+    return _search([task], workers)[0]
 
 
 def _merge(task: SearchTask, results) -> SearchReport:
@@ -590,14 +588,9 @@ def max_m(
     cap = max_m_upper_bound(d)
     if not 5 <= m_low <= m_high <= cap:
         raise ValueError(f"need 5 <= m_low <= m_high <= {cap}")
-    reports: dict[int, SearchReport] = {}
     tasks = [
         SearchTask(d=d, m=m, mode="find-first", node_budget=node_budget)
         for m in range(m_high, max(m_low, d) - 1, -1)
     ]
-    with closing(_reports(tasks, workers)) as scan:
-        for report in scan:
-            reports[report.task.m] = report
-            if report.solutions or report.counters.budget_stops:
-                break
+    reports = {report.task.m: report for report in _search(tasks, workers)}
     return MaxMResult(d=d, m_low=m_low, m_high=m_high, reports=reports)

@@ -12,7 +12,7 @@ which reads common-neighbour counts from the graph's bitset rows.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
 from bipmoore.structure import (
@@ -420,6 +420,40 @@ def naive_coverage_solutions(d: int, m: int) -> set[tuple[int, ...]]:
             negated = tuple(sorted(m - a for a in offsets))
             found.add(min(offsets, negated))
     return found
+
+
+def singer_set(q: int) -> tuple[int, ...]:
+    """Singer's planar difference set mod ``m = q*q + q + 1``, by algebra.
+
+    ``q = p^h`` is a prime power, and ``GF(q^3)`` is ``GF(p)[x]`` modulo
+    ``x^n - low(x)``, ``n = 3h``, for the first ``low`` (nonzero constant
+    term) under which ``x`` has order ``q^3 - 1``: then the ring is a field
+    and ``x`` a primitive element ``alpha``. The set holds the exponents
+    ``i < m`` with ``Tr(alpha^i) = alpha^i + alpha^(iq) + alpha^(iq^2) = 0``.
+    The trace is ``GF(q)``-linear and ``alpha^m`` generates ``GF(q)^*``, so
+    the test depends on ``i mod m`` only, and the ``q + 1`` exponents form a
+    line of ``PG(2, q)`` (Singer, Trans. AMS 43, 1938).
+    """
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    n = 3 * next(h for h in range(1, q) if p**h == q)
+    size = q**3 - 1
+    for low in product(range(p), repeat=n):
+        if not low[0]:
+            continue
+        # The coefficients of x^0, x^1, ..., lowest degree first.
+        powers = [(1,) + (0,) * (n - 1)]
+        while len(powers) < size:
+            c = powers[-1]
+            power = tuple((a + c[-1] * b) % p for a, b in zip((0,) + c[:-1], low))
+            if power == powers[0]:
+                break
+            powers.append(power)
+        else:
+            break
+    m = q * q + q + 1
+    return tuple(
+        i for i in range(m) if not any(sum(t) % p for t in zip(powers[i], powers[i * q % size], powers[i * q * q % size]))
+    )
 
 
 def count_multisets_oracle(total: int, lo: int, hi: int, n_min: int, n_max: int) -> int:

@@ -21,7 +21,7 @@ from bipmoore.circulant import (
 )
 from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, bfs_distances, check_graph, diameter, girth, regularity_check
 from bipmoore.structure import short_cycles, verify_isomorphism
-from oracles import diameter_oracle, two_step_residues_oracle
+from oracles import diameter_oracle, singer_set, two_step_residues_oracle
 
 
 def test_theta_shapes():
@@ -115,17 +115,17 @@ def test_residue_counts_match_written_out_formula():
     assert small >= 50  # moduli where residues of different shifts collide
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_singer_difference_sets_give_moore_graphs(q):
-    """A set ``B`` of ``q + 1`` residues whose differences cover ``Z_m``,
-    ``m = q*q + q + 1``, is a perfect difference set, and ``x_i ~ y_{i+b}`` is
-    the incidence graph of a projective plane: a bipartite Moore graph of
-    degree ``q + 1`` and diameter 3, with girth 6."""
+    """Singer's set ``B`` of ``q + 1`` residues, built by algebra, has
+    differences that cover ``Z_m``, ``m = q*q + q + 1``, so it is a perfect
+    difference set, and ``x_i ~ y_{i+b}`` is the incidence graph of a
+    projective plane: a bipartite Moore graph of degree ``q + 1`` and
+    diameter 3, with girth 6."""
     m = q * q + q + 1
-    full = (1 << m) - 1
-    shifts = next(
-        (0, 1, *rest) for rest in combinations(range(2, m), q - 1) if difference_mask(m, (0, 1, *rest)) == full
-    )
+    shifts = singer_set(q)
+    assert len(shifts) == q + 1
+    assert difference_mask(m, shifts) == (1 << m) - 1
     g = BipartiteGraph.from_neighbor_lists([sorted((i + b) % m for b in shifts) for i in range(m)], m)
     check = check_graph(g)
     assert check.regularity.degree == q + 1

@@ -155,6 +155,20 @@ def test_search_json_deterministic_across_workers(capsys):
         assert outputs[0] == outputs[1]
 
 
+@pytest.mark.slow
+def test_long_scan_json_identical_across_workers(capsys):
+    """``max-m --d 10 --from 79``, a scan of ten empty moduli down to the
+    witness at 79, is the pool's real traffic: its JSON is the same at one
+    and two workers."""
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "max-m", "--d", "10", "--from", "79", "--json", "--workers", workers)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["bestM"] == 79
+
+
 def test_search_budget_exit(capsys):
     code, _, _ = run(capsys, "search", "--d", "7", "--m", "41", "--budget", "10")
     assert code == 3
@@ -341,26 +355,15 @@ def test_tampered_fixture_fails_diameter(capsys):
     assert "diameter" in err
 
 
-def test_workers_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("BIPMOORE_WORKERS", "2")
-    code, out, _ = run(capsys, "search", "--d", "4", "--m", "11", "--json")
-    assert code == 0
-    assert json.loads(out)["solutions"] == ["phi 11: 4"]
-
-
 @pytest.mark.parametrize("value", ["abc", "-4", "0"])
-def test_bad_workers_env_is_usage_error(monkeypatch, capsys, value):
-    """A non-positive or non-integer ``BIPMOORE_WORKERS`` stops every command
-    that takes ``--workers`` with a usage error, and no other command."""
-    monkeypatch.setenv("BIPMOORE_WORKERS", value)
+def test_bad_workers_is_usage_error(capsys, value):
+    """A non-positive or non-integer ``--workers`` is a usage error for every
+    command that takes it."""
     for argv in (["search", "--d", "4", "--m", "11"], ["max-m", "--d", "4"], ["audit", "--d", "4"]):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([*argv, "--workers", value])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
-    code, out, _ = run(capsys, "search", "--d", "4", "--m", "11", "--workers", "1", "--json")
-    assert code == 0 and json.loads(out)["solutions"] == ["phi 11: 4"]
-    assert run(capsys, "bound", "4", "3")[0] == 0
 
 
 def test_bad_spec_is_usage_error(capsys):

@@ -6,9 +6,11 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from pathlib import Path
@@ -105,7 +107,8 @@ def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
     "d, m",
     [(d, m) for d in range(4, 8) for m in range(max(5, d), d * d - d)]
     + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 52), (8, 53), (8, 54), (8, 55)]
-    + [(9, 66), (9, 67), (9, 68), (9, 69), (9, 70), (9, 71), (10, 89)],
+    + [(9, 66), (9, 67), (9, 68), (9, 69), (9, 70), (9, 71), (10, 89)]
+    + [pytest.param(d, m, marks=pytest.mark.slow) for d, m in [(10, m) for m in range(80, 89)] + [(11, 109)]],
 )
 def test_engine_matches_bound_only_oracle(d, m):
     """Dropping candidates by slack and nodes by the sum of gains or by
@@ -369,35 +372,23 @@ def test_root_built_once_per_task(monkeypatch):
     assert len(calls) == 15
 
 
-class _FlagRaisedOnRead:
-    """A stop flag that reads raised from its ``raise_on``-th read on."""
+def _recording_work(monkeypatch, run=True) -> list:
+    """Record each in-process ``_work`` call as ``(shards, state, results)``;
+    with ``run=False`` every shard reads as an empty, exhausted result and
+    none is run."""
+    calls = []
+    work = search._work
 
-    def __init__(self, raise_on: int) -> None:
-        self.reads, self.raise_on = 0, raise_on
+    def recording(shards, state, lock=None):
+        if run:
+            results = work(shards, state, lock)
+        else:
+            results = {i: (search.SearchCounters(), [], True) for i in range(len(shards))}
+        calls.append((shards, list(state), results))
+        return results
 
-    def is_set(self) -> bool:
-        self.reads += 1
-        return self.reads >= self.raise_on
-
-
-def test_stop_flag_read_every_64_placements(monkeypatch):
-    """A shard reads the pool's stop flag before its first placement and
-    after every 64th, and gives up, unexhausted, once it reads it raised."""
-    monkeypatch.setattr(search, "_stop_flag", None)
-    root, _, _ = search._plan(SearchTask(d=9, m=71))
-    job = (4, None)  # 306 nodes when left to run
-    raised = threading.Event()
-    raised.set()
-    search._set_stop_flag(raised)
-    counters, _, exhausted = search._run_shard(root, *job)
-    assert (counters.nodes_visited, exhausted) == (0, False)
-    search._set_stop_flag(_FlagRaisedOnRead(3))
-    counters, _, exhausted = search._run_shard(root, *job)
-    assert (counters.nodes_visited, exhausted) == (128, False)
-    assert counters.budget_stops == 0
-    search._set_stop_flag(threading.Event())
-    counters, _, exhausted = search._run_shard(root, *job)
-    assert (counters.nodes_visited, exhausted) == (306, True)
+    monkeypatch.setattr(search, "_work", recording)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -412,48 +403,150 @@ def test_stop_flag_read_every_64_placements(monkeypatch):
     ],
     ids=lambda task: f"d{task.d}-m{task.m}-{task.mode}-prefix{len(task.prefix)}",
 )
-def test_batches_are_the_plan_in_order(task):
-    """A task's pool jobs, concatenated, are its shard jobs in shard order,
-    and there are at most ``BATCHES_PER_WORKER * workers + 1`` of them."""
+def test_shards_are_the_plans_in_order(task, monkeypatch):
+    """The shard list of a call is each task's shard jobs in shard order,
+    all on the task's one root and marked with the task's last index, and
+    the cutoff starts at the last shard."""
+    calls = _recording_work(monkeypatch, run=False)
+    later = SearchTask(d=7, m=41)
     _, jobs, _ = search._plan(task)
-    for workers in (1, 2, 3, 8):
-        batches = search._batches(task, jobs, workers)
-        assert all(batches)
-        assert [job for batch in batches for job in batch] == jobs
-        assert len(batches) <= search.BATCHES_PER_WORKER * workers + 1
+    _, later_jobs, _ = search._plan(later)
+    search._search([task, later], 1)
+    (shards, state, _), = calls
+    total = len(jobs) + len(later_jobs)
+    assert [(root.task, v, budget, last) for root, v, budget, last in shards] == [
+        (task, v, budget, len(jobs) - 1) for v, budget in jobs
+    ] + [(later, v, budget, total - 1) for v, budget in later_jobs]
+    assert len({id(root) for root, *_ in shards[: len(jobs)]}) <= 1
+    assert state == [0, total - 1]
 
 
-def test_find_first_batch_ends_after_first_solution_shard():
-    """The smallest d=9, m=65 witness lies in shard a_1 = 5: a batch of every
-    shard runs shards 2 to 5 and no more."""
-    root, jobs, _ = search._plan(SearchTask(d=9, m=65, mode="find-first"))
-    results = search._run_batch(root, jobs)
-    assert [bool(solutions) for _, solutions, _ in results] == [False, False, False, True]
-    assert [format_spec(s) for s in results[-1][1]] == ["phi 65: 5,9,27,34,50,53"]
+def test_find_first_solution_sets_cutoff_to_its_shard(monkeypatch):
+    """The smallest d=9, m=65 witness lies in shard a_1 = 5, the fourth: its
+    solution lowers the cutoff to it, no later shard runs, and a scan that
+    reaches m=65 returns no report past it."""
+    calls = _recording_work(monkeypatch)
+    report = search_offsets(SearchTask(d=9, m=65, mode="find-first"))
+    (shards, state, results), = calls
+    assert [v for _, v, _, _ in shards[:4]] == [2, 3, 4, 5]
+    assert state == [5, 3]
+    assert sorted(results) == [0, 1, 2, 3]
+    assert [bool(solutions) for _, solutions, _ in results.values()] == [False, False, False, True]
+    assert [format_spec(s) for s in report.solutions] == ["phi 65: 5,9,27,34,50,53"]
+    calls.clear()
+    result = max_m(9, 60, 66)
+    (shards, state, results), = calls
+    before = sum(root.task.m == 66 for root, _, _, _ in shards)
+    assert state[1] == before + 3
+    assert max(results) == before + 3
+    assert list(result.reports) == [66, 65]
 
 
-def test_batch_runs_every_budget_stopped_shard():
-    """Budget-stopped shards do not end a find-first batch: it runs each of
-    them, as the shards run one by one do, up to the deciding shard."""
+def test_budget_stop_runs_every_shard_of_its_task(monkeypatch):
+    """A budget-stopped shard lowers the cutoff to the last shard of its task:
+    every shard of that task runs, no shard of a later task does, and the
+    call returns no report past it. Find-first cuts at the deciding shard
+    even after budget stops, as the shards run one by one do."""
+    calls = _recording_work(monkeypatch)
+    budgeted = SearchTask(d=8, m=45, node_budget=2982)
+    reports = search._search([budgeted, SearchTask(d=7, m=41)], 1)
+    (shards, state, results), = calls
+    _, jobs, _ = search._plan(budgeted)
+    assert state[1] == len(jobs) - 1
+    assert sorted(results) == list(range(len(jobs)))
+    assert [report.task for report in reports] == [budgeted]
+    assert reports[0].counters.budget_stops > 0
+    calls.clear()
     root, jobs, _ = search._plan(SearchTask(d=8, m=45, mode="find-first", node_budget=2982))
-    results = search._run_batch(root, jobs)
-    deciding = len(results) - 1
-    assert results[deciding][1] and not any(solutions for _, solutions, _ in results[:deciding])
-    assert sum(counters.budget_stops for counters, _, _ in results[:deciding]) > 0
-    assert results == [search._run_shard(root, *job) for job in jobs[: deciding + 1]]
+    search_offsets(root.task)
+    (_, state, results), = calls
+    deciding = state[1]
+    assert results[deciding][1] and not any(results[i][1] for i in range(deciding))
+    assert sum(results[i][0].budget_stops for i in range(deciding)) > 0
+    assert [results[i] for i in range(deciding + 1)] == [
+        search._run_shard(root, *job, i, None) for i, job in enumerate(jobs[: deciding + 1])
+    ]
 
 
-def test_stop_flag_ends_batch(monkeypatch):
-    """Once the stop flag reads raised, the shard running gives up within 64
-    placements and the batch runs no further shard."""
-    monkeypatch.setattr(search, "_stop_flag", None)
-    root, jobs, _ = search._plan(SearchTask(d=9, m=71))
-    search._set_stop_flag(_FlagRaisedOnRead(3))
-    results = search._run_batch(root, jobs)
-    counters, _, exhausted = results[-1]
-    assert len(results) < len(jobs)
-    assert not exhausted
-    assert sum(c.nodes_visited for c, _, _ in results) <= 128 + 64 * (len(results) - 1)
+class _CutoffDroppedOnRead(list):
+    """Shared state ``[counter, cutoff]`` whose cutoff reads 0 from its
+    ``drop_on``-th read on."""
+
+    def __init__(self, drop_on: int) -> None:
+        super().__init__([0, 10])
+        self.reads, self.drop_on = 0, drop_on
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return 0 if self.reads >= self.drop_on else super().__getitem__(i)
+
+
+def test_shard_past_cutoff_gives_up_within_64_placements():
+    """A shard reads the shared cutoff before its first placement and after
+    every 64th, and gives up, unexhausted, once the cutoff lies below its
+    index."""
+    root, _, _ = search._plan(SearchTask(d=9, m=71))
+    job = (4, None)  # 306 nodes when left to run
+    counters, _, exhausted = search._run_shard(root, *job, 5, [0, 4])
+    assert (counters.nodes_visited, exhausted) == (0, False)
+    counters, _, exhausted = search._run_shard(root, *job, 5, _CutoffDroppedOnRead(3))
+    assert (counters.nodes_visited, exhausted) == (128, False)
+    assert counters.budget_stops == 0
+    counters, _, exhausted = search._run_shard(root, *job, 5, [0, 5])
+    assert (counters.nodes_visited, exhausted) == (306, True)
+
+
+def test_pool_call_submits_one_job_per_worker(monkeypatch):
+    """A pooled call submits exactly one job per worker, however many moduli
+    and shards it holds, and the workers, more than the cores here, take
+    every shard exactly once from the shared counter."""
+    submitted = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(future := super().submit(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+    max_m(9, 60, 71, workers=2)
+    assert len(submitted) == 2
+    submitted.clear()
+    task = SearchTask(d=9, m=71)
+    search_offsets(task, workers=4)
+    assert len(submitted) == 4
+    taken = [index for future in submitted for index in future.result(timeout=0)]
+    assert sorted(taken) == list(range(len(search._plan(task)[1])))
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_scan_leaves_no_child(monkeypatch):
+    """Ctrl-C in the reader of a two-worker scan drops the cutoff below every
+    index, so the running shards give up, and the pool is shut down before
+    the interrupt leaves the call."""
+    pools, timers = [], []
+
+    class InterruptedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            # Started once the first submit has started the workers.
+            if not timers:
+                timers.append(threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)))
+                timers[0].start()
+            return future
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InterruptedPool)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        max_m(10, 79, 89, workers=2)  # about 10 s when left to run
+    assert time.perf_counter() - started < 5
+    timers[0].join()
+    assert multiprocessing.active_children() == []
+    (pool,) = pools
+    assert pool["initargs"][1][1] == -1
 
 
 def test_tables_built_once_per_modulus():
@@ -583,7 +676,8 @@ def test_max_m_budget_inconclusive():
 def test_max_m_worker_determinism(d, low, high, budget, monkeypatch):
     """One pool per scan, whatever the worker count: the payload and every
     modulus's counters match the serial scan, the pool's workers are gone
-    when the call returns and the stop flag is raised by then."""
+    when the call returns and the cutoff is dropped below every index by
+    then."""
     pools = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -603,7 +697,7 @@ def test_max_m_worker_determinism(d, low, high, budget, monkeypatch):
     for workers in (2, 3):
         assert outcome(workers) == serial
         assert len(pools) == 1
-        assert pools.pop()["initargs"][0].is_set()
+        assert pools.pop()["initargs"][1][1] == -1
         assert multiprocessing.active_children() == []
     if (d, budget) == (9, None):
         assert len(json.loads(serial[0])["perM"]) == 7
