@@ -75,20 +75,22 @@ the reader will read. A find-first solution lowers the cutoff to its own
 shard, and a budget stop to the last shard of its task, which is where
 ``max_m`` stops. A shard beyond the cutoff gives up within 64 placements.
 The reader merges the results in shard order and returns the reports up
-to the task that holds the cutoff. One worker runs the loop in the calling
-process. More workers share the counter and the cutoff through one process
-pool, which is sent one job per worker; on any exit, an exception or an
-interrupt included, the cutoff drops below every index before the pool
-shuts down, so every worker has been reaped when the call returns.
-``multiprocessing`` and ``concurrent.futures`` are imported by the first
-call that starts a pool, so a process that runs one worker never loads
-them.
+to the task that holds the cutoff. The calling process is worker 0 and
+runs the loop itself. Each further worker, at most one per shard, is a
+plain child process that runs the same loop over the shared counter and
+cutoff and sends back its results, or the exception that stopped it,
+through a one-way pipe; a child that dies without reporting makes the call
+raise an error naming its exit code. On any exit, an exception or an
+interrupt included, the cutoff drops below every index before each child
+is joined, so every worker has been reaped when the call returns.
+``multiprocessing`` is imported by the first call that starts a child, so
+a process that runs one worker never loads it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -415,33 +417,30 @@ def _work(shards: list, state, lock=None) -> dict[int, tuple[SearchCounters, lis
                 state[1] = min(state[1], i if found else last)
 
 
-#: ``(shards, state)`` of the pool this process works for, set by the pool's
-#: initializer in each worker.
-_pooled: tuple = ()
-
-
-def _set_pooled(*pooled) -> None:
-    """Pool initializer: remember the call's shards and shared state."""
-    global _pooled
-    _pooled = pooled
-
-
-def _pool_job() -> dict:
-    """One worker's job: ``_work`` over the pool's shards, under the lock of
-    its shared state."""
-    shards, state = _pooled
-    return _work(shards, state, state.get_lock())
+def _child(shards: list, state, lock, writer) -> None:
+    """A child worker: ``_work`` over the call's shards, whose results, or the
+    exception that stopped it, go back through ``writer``. A failing child
+    drops the cutoff below every index, so the other workers stop too."""
+    try:
+        outcome = _work(shards, state, lock)
+    except BaseException as exc:
+        state[1] = -1
+        outcome = exc
+    # The send fails only once the caller has left and closed its end.
+    with writer, suppress(OSError):
+        writer.send(outcome)
 
 
 def _search(tasks: list[SearchTask], workers: int) -> list[SearchReport]:
     """The merged reports of ``tasks``, in order, up to the task that holds
     the cutoff: every task's when no shard lowered it.
 
-    The shards of all tasks form one list in task and shard order. One
-    worker runs ``_work`` over it in this process. More workers share its
-    counter and cutoff through one pool, which is sent one ``_work`` job
-    per worker; on any exit the cutoff drops below every index, so the
-    shards still running give up, before the pool shuts down.
+    The shards of all tasks form one list in task and shard order. The
+    calling process is worker 0 and runs ``_work`` over it; each further
+    worker, up to one per shard, is a child process that shares the counter
+    and the cutoff and sends its results back through a pipe. On any exit
+    the cutoff drops below every index, so the shards still running give
+    up, before every child is joined.
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
@@ -451,22 +450,42 @@ def _search(tasks: list[SearchTask], workers: int) -> list[SearchReport]:
         last = len(shards) + len(jobs) - 1
         shards += [(root, v, budget, last) for v, budget in jobs]
     state = [0, len(shards) - 1]
-    if workers == 1 or len(shards) <= 1:
+    extra = min(workers, len(shards)) - 1
+    if extra < 1:
         results = _work(shards, state)
     else:
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        shared = multiprocessing.Array("q", state)
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_pooled, initargs=(shards, shared))
+        # Raw shared values under a lock held only in ``_work``'s ``with``
+        # blocks: an interrupt cannot leave that lock held, as it can one
+        # taken inside a synchronized array's Python-level accessor.
+        shared, lock = multiprocessing.RawArray("q", state), multiprocessing.Lock()
+        children, readers = [], []
         try:
-            results = {}
-            for future in [pool.submit(_pool_job) for _ in range(workers)]:
-                results.update(future.result())
+            for _ in range(extra):
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                readers.append(reader)
+                with writer:
+                    child = multiprocessing.Process(target=_child, args=(shards, shared, lock, writer))
+                    child.start()
+                children.append(child)
+            results = _work(shards, shared, lock)
+            for child, reader in zip(children, readers):
+                try:
+                    outcome = reader.recv()
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(f"a search worker exited with code {child.exitcode} before it reported") from None
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                results.update(outcome)
             state = shared[:]
         finally:
             shared[1] = -1
-            pool.shutdown(cancel_futures=True)
+            for reader in readers:
+                reader.close()
+            for child in children:
+                child.join()
     reports: list[SearchReport] = []
     end = 0
     for root, jobs, planned in plans:
@@ -482,8 +501,8 @@ def search_offsets(task: SearchTask, workers: int = 1) -> SearchReport:
 
     Returns the canonical, sorted, duplicate-free solution list together
     with work counters. ``exhausted`` is True only when the task's whole
-    candidate space was visited. A pool started for ``workers > 1`` is shut
-    down before the call returns.
+    candidate space was visited. Every child process started for
+    ``workers > 1`` is joined before the call returns.
     """
     return _search([task], workers)[0]
 
@@ -579,10 +598,10 @@ def max_m(
 ) -> MaxMResult:
     """Largest modulus in ``[m_low, m_high]`` admitting a full-coverage tuple.
 
-    Scans downward with a find-first search per modulus, all run through
-    one pool when ``workers > 1``, and stops at the first hit. Moduli below
-    the degree cannot host enough distinct offsets and are skipped. If a
-    budget runs out before a modulus is settled the scan stops and the
+    Scans downward with a find-first search per modulus, all run by the
+    same workers when ``workers > 1``, and stops at the first hit. Moduli
+    below the degree cannot host enough distinct offsets and are skipped.
+    If a budget runs out before a modulus is settled the scan stops and the
     result is marked inconclusive.
     """
     cap = max_m_upper_bound(d)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import signal
@@ -11,9 +12,9 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -496,57 +497,115 @@ def test_shard_past_cutoff_gives_up_within_64_placements():
     assert (counters.nodes_visited, exhausted) == (306, True)
 
 
-def test_pool_call_submits_one_job_per_worker(monkeypatch):
-    """A pooled call submits exactly one job per worker, however many moduli
-    and shards it holds, and the workers, more than the cores here, take
-    every shard exactly once from the shared counter."""
-    submitted = []
+@pytest.fixture
+def spy(monkeypatch):
+    """Watches multi-worker calls: ``started`` holds each child process
+    started (each ``after_start`` hook runs after every start), ``arrays``
+    each shared counter-and-cutoff array made, and ``results`` the shard
+    results of the caller's ``_work`` and of each child's report."""
+    caller = os.getpid()
+    spy = SimpleNamespace(started=[], after_start=[], arrays=[], results=[])
+    make_array, recv, work = multiprocessing.RawArray, multiprocessing.connection.Connection.recv, search._work
 
-    class CountingPool(ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(future := super().submit(*args, **kwargs))
-            return future
+    class CountingProcess(multiprocessing.Process):
+        def start(self):
+            super().start()
+            spy.started.append(self)
+            for hook in spy.after_start:
+                hook()
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+    def array(*args, **kwargs):
+        spy.arrays.append(shared := make_array(*args, **kwargs))
+        return shared
+
+    def recording_recv(self):
+        spy.results.append(outcome := recv(self))
+        return outcome
+
+    def recording_work(*args):
+        results = work(*args)
+        if os.getpid() == caller:
+            spy.results.append(dict(results))  # before the children's are added
+        return results
+
+    monkeypatch.setattr(multiprocessing, "Process", CountingProcess)
+    monkeypatch.setattr(multiprocessing, "RawArray", array)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", recording_recv)
+    monkeypatch.setattr(search, "_work", recording_work)
+    return spy
+
+
+def test_caller_runs_beside_one_child_per_extra_worker(spy):
+    """A call with ``workers`` workers starts ``min(workers, shards) - 1``
+    children, more than the cores here, and the caller and its children
+    take every shard from the shared counter exactly once."""
     max_m(9, 60, 71, workers=2)
-    assert len(submitted) == 2
-    submitted.clear()
-    task = SearchTask(d=9, m=71)
-    search_offsets(task, workers=4)
-    assert len(submitted) == 4
-    taken = [index for future in submitted for index in future.result(timeout=0)]
-    assert sorted(taken) == list(range(len(search._plan(task)[1])))
+    assert len(spy.started) == 1
+    taken = [index for results in spy.results for index in results]
+    assert len(taken) == len(set(taken))
+    for task, children in [(SearchTask(d=9, m=71), 3), (SearchTask(d=6, m=20, prefix=(9,)), 1)]:
+        spy.started.clear()
+        spy.results.clear()
+        search_offsets(task, workers=4)
+        assert len(spy.started) == children
+        assert len(spy.results) == children + 1
+        taken = [index for results in spy.results for index in results]
+        assert sorted(taken) == list(range(len(search._plan(task)[1])))
     assert multiprocessing.active_children() == []
 
 
-def test_interrupted_scan_leaves_no_child(monkeypatch):
-    """Ctrl-C in the reader of a two-worker scan drops the cutoff below every
-    index, so the running shards give up, and the pool is shut down before
+def test_interrupted_scan_leaves_no_child(spy):
+    """Ctrl-C in the caller of a two-worker scan drops the cutoff below every
+    index, so the running shards give up, and the child is joined before
     the interrupt leaves the call."""
-    pools, timers = [], []
+    timers = []
 
-    class InterruptedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs)
-            super().__init__(*args, **kwargs)
+    def interrupt_soon():
+        if not timers:
+            timers.append(threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)))
+            timers[0].start()
 
-        def submit(self, *args, **kwargs):
-            future = super().submit(*args, **kwargs)
-            # Started once the first submit has started the workers.
-            if not timers:
-                timers.append(threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)))
-                timers[0].start()
-            return future
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InterruptedPool)
+    spy.after_start.append(interrupt_soon)
     started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         max_m(10, 79, 89, workers=2)  # about 10 s when left to run
     assert time.perf_counter() - started < 5
     timers[0].join()
     assert multiprocessing.active_children() == []
-    (pool,) = pools
-    assert pool["initargs"][1][1] == -1
+    (shared,) = spy.arrays
+    assert shared[1] == -1
+
+
+@pytest.mark.parametrize(
+    "exit_code, error, message",
+    [(None, ValueError, "shard failed in a child"), (7, RuntimeError, "exited with code 7")],
+    ids=["raises", "exits"],
+)
+def test_child_failure_reaches_the_caller(exit_code, error, message, monkeypatch):
+    """A child whose shard raises passes the exception to the caller, and a
+    child that dies without reporting makes the call name its exit code;
+    either way the call ends promptly with no child left."""
+    caller = os.getpid()
+    run_shard = search._run_shard
+
+    def failing_in_a_child(root, v, budget, index, shared):
+        if os.getpid() == caller:
+            # Hold the caller until a child has taken a shard.
+            deadline = time.monotonic() + 5
+            while shared[0] < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        elif exit_code is None:
+            raise ValueError(message)
+        else:
+            os._exit(exit_code)
+        return run_shard(root, v, budget, index, shared)
+
+    monkeypatch.setattr(search, "_run_shard", failing_in_a_child)
+    started = time.perf_counter()
+    with pytest.raises(error, match=message):
+        search_offsets(SearchTask(d=8, m=45), workers=2)
+    assert time.perf_counter() - started < 5
+    assert multiprocessing.active_children() == []
 
 
 def test_tables_built_once_per_modulus():
@@ -673,19 +732,11 @@ def test_max_m_budget_inconclusive():
     "d, low, high, budget",
     [(9, 60, 71, None), (8, 40, 55, None), (7, 30, 41, None), (9, 60, 71, 2000), (8, 40, 55, 500)],
 )
-def test_max_m_worker_determinism(d, low, high, budget, monkeypatch):
-    """One pool per scan, whatever the worker count: the payload and every
-    modulus's counters match the serial scan, the pool's workers are gone
+def test_max_m_worker_determinism(d, low, high, budget, spy):
+    """One shared state per scan, whatever the worker count: the payload and
+    every modulus's counters match the serial scan, the children are gone
     when the call returns and the cutoff is dropped below every index by
     then."""
-    pools = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
 
     def outcome(workers):
         result = max_m(d, low, high, node_budget=budget, workers=workers)
@@ -693,11 +744,11 @@ def test_max_m_worker_determinism(d, low, high, budget, monkeypatch):
         return json.dumps(result.to_json_dict()), per_m
 
     serial = outcome(1)
-    assert pools == []
+    assert spy.arrays == spy.started == []
     for workers in (2, 3):
         assert outcome(workers) == serial
-        assert len(pools) == 1
-        assert pools.pop()["initargs"][1][1] == -1
+        assert len(spy.arrays) == 1
+        assert spy.arrays.pop()[1] == -1
         assert multiprocessing.active_children() == []
     if (d, budget) == (9, None):
         assert len(json.loads(serial[0])["perM"]) == 7
@@ -710,14 +761,13 @@ def test_max_m_validation():
         max_m(4, 4, 11)
 
 
-def _run_cold(code: str) -> str:
-    """Run ``code`` in a fresh interpreter with ``src`` on its path; its stdout."""
+def _run_cold(*args: str) -> str:
+    """Run a fresh interpreter with ``src`` on its path and arguments
+    ``args``; its stdout."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout
 
 
@@ -740,12 +790,13 @@ record = build_phi_spec(parse_spec(KNOWN_DEGREE11_SPECS[0]))
 assert find_isomorphism(record, record) is not None
 print(sorted(name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules))
 """
-    assert _run_cold(code).strip() == "[]"
+    assert _run_cold("-c", code).strip() == "[]"
 
 
 def test_cold_pooled_search_matches_one_worker():
-    """The first pooled call of a process imports the pool stack on demand:
-    it returns the one-worker report and leaves no live child behind."""
+    """The first two-worker call of a process imports ``multiprocessing`` on
+    demand, and never ``concurrent.futures``: it returns the one-worker
+    report and leaves no live child behind."""
     code = """
 import json
 import sys
@@ -754,8 +805,31 @@ from bipmoore.search import SearchTask, search_offsets
 assert "multiprocessing" not in sys.modules
 pooled = search_offsets(SearchTask(d=8, m=45), workers=2).to_json_dict()
 import multiprocessing
-print(json.dumps([pooled, multiprocessing.active_children() == []]))
+print(json.dumps([pooled, multiprocessing.active_children() == [], "concurrent.futures" in sys.modules]))
 """
-    pooled, reaped = json.loads(_run_cold(code))
+    pooled, reaped, futures_loaded = json.loads(_run_cold("-c", code))
     assert pooled == search_offsets(SearchTask(d=8, m=45)).to_json_dict()
     assert reaped
+    assert not futures_loaded
+
+
+def test_spawned_workers_match_one_worker(tmp_path):
+    """Under the ``spawn`` start method, the default on macOS and Windows,
+    children re-import the search and still give the one-worker payloads.
+    Spawn re-imports the main module, so the check runs from a script file."""
+    script = tmp_path / "spawned.py"
+    script.write_text(
+        """
+import multiprocessing
+from bipmoore.search import SearchTask, max_m, search_offsets
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    task = SearchTask(d=8, m=45)
+    assert search_offsets(task, workers=2).to_json_dict() == search_offsets(task).to_json_dict()
+    assert max_m(7, 30, 41, workers=3).to_json_dict() == max_m(7, 30, 41).to_json_dict()
+    assert multiprocessing.active_children() == []
+    print("ok")
+"""
+    )
+    assert _run_cold(str(script)).strip() == "ok"
