@@ -400,6 +400,8 @@ GOLDEN_COMMANDS = {
     "audit-d7-budget": "audit --d 7 --budget 10",
     "audit-d7-budget-json": "audit --d 7 --budget 10 --json",
     "max-m-d9-budget": "max-m --d 9 --from 60 --budget 2000",
+    "search-d10-budget-json": "search --d 10 --m 89 --budget 10000 --json",
+    "search-d8-m45-json": "search --d 8 --m 45 --json",
     "verify-known": "verify-known",
 }
 
