@@ -4,9 +4,9 @@ A phi graph is its connection set ``B = FIXED_SHIFTS + offsets``, and it has
 diameter at most 3 iff the differences ``B - B`` cover ``Z_m``. The search
 walks ascending offset tuples ``a_1 < ... < a_{d-3}`` over ``[2, m-2]``,
 growing ``B`` one offset at a time with a bitmask of ``B - B``. It checks
-forward: a node whose ``B`` has ``k`` shifts carries its live candidates
-``w``, each with the mask ``+-(w - b)`` over every ``b`` in ``B`` of the
-residues it would add. Placing an offset extends every mask by one pair.
+forward: a node whose ``B`` has ``k`` shifts carries its live candidates as
+``(w, mask)`` pairs, the mask holding ``+-(w - b)`` over every ``b`` in ``B``,
+the residues ``w`` would add. Placing an offset extends every mask by one pair.
 The masks are ``circulant``'s: a task's root reads ``difference_mask`` and
 ``shift_mask``, and a placement ors in one ``pair_masks`` entry.
 Pruning is:
@@ -25,12 +25,12 @@ Pruning is:
   candidate lowers the slack by its waste, so every placed leaf is a full
   cover;
 * by the sum of gains: a candidate's **gain** is the number of new residues
-  its mask adds, kept beside it when the live list is filtered. Each of the
-  ``r`` offsets still to place adds at most its gain at this node plus two
-  for every offset placed between this node and it, so a node dies when its
-  ``r`` largest live gains plus ``r*(r-1)`` fall short of the residues still
-  uncovered. Put in wastes, the ``r`` smallest wastes exceed the slack; at
-  the cap the slack is 0 and the test is void;
+  its mask adds. Each of the ``r`` offsets still to place adds at most its
+  gain at this node plus two for every offset placed between this node and
+  it, so a node dies when its ``r`` largest live gains plus ``r*(r-1)`` fall
+  short of the residues still uncovered. Put in wastes, the ``r`` smallest
+  wastes exceed the slack; at the cap the slack is 0 and the test is void,
+  so the gains are counted only for a node with slack;
 * by support: the ``r`` offsets still to place come from the live list, so
   each uncovered residue must lie in a live candidate's mask or be
   ``+-(f2 - f1)`` for two live candidates. A node with ``r >= 2`` dies when
@@ -41,7 +41,10 @@ Pruning is:
   all ``r`` of its offsets from ``live[i:]``, and a shorter suffix has a
   smaller union and fewer differences. So the node's loop stops at the
   first suffix that fails the support test, and the children past that cut
-  are never placed (``_support_cut``, which also runs the node's own test);
+  are never placed (``_support_cut``, which also runs the node's own test).
+  It grows only the suffix's union until at most ``r*(r-1)`` uncovered
+  residues lie outside it, and builds the difference set only from there,
+  so most nodes it kills never build one;
 * by the negation symmetry: a tuple and its negation mod ``m`` describe
   isomorphic graphs, so only canonical tuples (``circulant.canonicalize``)
   are kept, and candidates beyond ``m - a_1``, which would force a
@@ -50,14 +53,19 @@ Pruning is:
 A node's children are placed and tested in the node's own loop: the loop
 counts each child, filters its live list and runs the tests above, accepts
 leaves and recurses only into children that live, so a dead node costs no
-recursive call.
+recursive call. The shard keeps its node count and its death count per rule
+in local integers, written to its ``SearchCounters`` when it ends, and
+tests the node count against one threshold, the next count at which the
+node budget or the read of the workers' cutoff (below) falls due.
 
 Sharding is by the value ``v`` of the first free offset position. The
-planner builds each task's root once: the prefix node's coverage and its
-live candidates up to the largest ``m - a_1`` of any shard. Each shard
-runs from the root's window ``[v, m - a_1]``, found by bisection. Shards
-whose value already exceeds ``m - a_1`` hold nothing canonical: the planner
-counts them as symmetry prunes, and they are never run. A fully pinned
+planner builds each task's root once: the prefix node's shifts, its
+coverage and its live candidates up to the largest ``m - a_1`` of any
+shard, with the pair table and the bound table that every shard reads.
+Each shard runs from the root's window ``[v, m - a_1]``, found by
+bisection. Shards whose value already exceeds ``m - a_1`` hold nothing
+canonical: the planner counts them as symmetry prunes, and they are never
+run. A fully pinned
 prefix is a leaf that the planner settles in the calling process, with no
 shard at all. The planner's result is read after every shard's. Shards are
 read in ascending order and each walks its subtree lexicographically, so
@@ -139,15 +147,18 @@ class SearchCounters:
     ``nodes_visited`` counts offset placements beyond the prefix; only live
     candidates before their node's support cut are placed, so the children
     past the cut count in neither ``nodes_visited`` nor ``pruned_by_bound``.
-    ``pruned_by_bound`` counts placed nodes that died because too few live
-    candidates remained to finish the tuple, their largest gains fell short
-    or they could not support the residues still uncovered, so it never
-    exceeds ``nodes_visited``, and
-    ``1 - pruned_by_bound / nodes_visited`` is the share of placed nodes
-    that were leaves or went on to place a child. ``pruned_by_symmetry``
-    counts the candidates beyond ``m - a_1`` (once per shard), the shard
-    values beyond it (one each) and the full-coverage leaves larger than
-    their negation. ``budget_stops`` counts shards cut by the node budget.
+    ``pruned_by_bound`` counts placed nodes that died, so it never exceeds
+    ``nodes_visited``, and ``1 - pruned_by_bound / nodes_visited`` is the
+    share of placed nodes that were leaves or went on to place a child. It
+    is the sum of three death counts, one per rule, tested in this order:
+    ``pruned_by_filter`` counts nodes left with too few live candidates to
+    finish the tuple after the waste filter, ``pruned_by_gains`` those whose
+    largest gains fell short and ``pruned_by_support`` those that could not
+    support the residues still uncovered. The three are not yet in the JSON
+    or the text report. ``pruned_by_symmetry`` counts the candidates beyond
+    ``m - a_1`` (once per shard), the shard values beyond it (one each) and
+    the full-coverage leaves larger than their negation. ``budget_stops``
+    counts shards cut by the node budget.
     """
 
     nodes_visited: int = 0
@@ -155,6 +166,9 @@ class SearchCounters:
     pruned_by_symmetry: int = 0
     solutions_found: int = 0
     budget_stops: int = 0
+    pruned_by_filter: int = 0
+    pruned_by_gains: int = 0
+    pruned_by_support: int = 0
 
     def add(self, other: SearchCounters) -> None:
         self.nodes_visited += other.nodes_visited
@@ -162,6 +176,9 @@ class SearchCounters:
         self.pruned_by_symmetry += other.pruned_by_symmetry
         self.solutions_found += other.solutions_found
         self.budget_stops += other.budget_stops
+        self.pruned_by_filter += other.pruned_by_filter
+        self.pruned_by_gains += other.pruned_by_gains
+        self.pruned_by_support += other.pruned_by_support
 
     def to_dict(self) -> dict:
         return {
@@ -214,53 +231,69 @@ class _StopShard(Exception):
 def _support_cut(uncovered: int, live: list, r: int, m: int, count: int) -> int:
     """How many of a node's first ``count`` children to place; 0 means the
     node dies. The node has ``r`` offsets still to place from its ``live``
-    (candidate, mask, gain) triples, and they must cover ``uncovered``.
+    (candidate, mask) pairs, and they must cover ``uncovered``.
 
     A candidate set fails the support test when more than ``r*(r-1)``
     uncovered residues lie outside the union of its masks, or when one of
     those is no difference ``+-(f2 - f1)`` of two of its values. Child ``i``
     and every later one take all ``r`` offsets from ``live[i:]``, and the
-    test is monotone in ``i``. One backward pass grows the suffix from the
-    last candidate with its union and difference set (``vals`` and ``negs``
-    hold its values ``f`` and ``m - f``; a new, smaller value ``w`` adds
-    ``f - w`` and ``m - (f - w)``) and stops at the first suffix that
-    passes, from index ``count - 1`` down. Offsets lie in ``[2, m-2]``, so
-    ``0 < f - w < m`` and every difference is one of the ``m`` bits.
+    test is monotone in ``i``. A backward pass grows the suffix's union from
+    the last candidate until, from index ``count - 1`` down, at most
+    ``r*(r-1)`` uncovered residues lie outside it. Only then does it build
+    the suffix's difference set (``vals`` and ``negs`` hold its values ``f``
+    and ``m - f``; a new, smaller value ``w`` adds ``f - w`` and
+    ``m - (f - w)``), and it goes on growing both until the first suffix
+    whose outside residues are all differences. Most nodes that die here
+    die in the first phase and never build a difference set. Offsets lie in
+    ``[2, m-2]``, so ``0 < f - w < m`` and every difference is one of the
+    ``m`` bits.
     """
-    union = diffs = vals = negs = 0
+    outside = uncovered
     most = r * (r - 1)
-    for i in range(len(live) - 1, -1, -1):
-        w, x, _ = live[i]
-        union |= x
+    for j in range(len(live) - 1, -1, -1):
+        outside &= ~live[j][1]
+        if j < count and outside.bit_count() <= most:
+            break
+    else:
+        return 0
+    diffs = vals = negs = 0
+    for w, _ in live[:j:-1]:
         diffs |= vals >> w | negs << w
         vals |= 1 << w
         negs |= 1 << m - w
-        if i < count:
-            outside = uncovered & ~union
-            if outside.bit_count() <= most and not outside & ~diffs:
-                return i + 1
+    for i in range(j, -1, -1):
+        w, x = live[i]
+        outside &= ~x
+        diffs |= vals >> w | negs << w
+        vals |= 1 << w
+        negs |= 1 << m - w
+        if not outside & ~diffs:
+            return i + 1
     return 0
 
 
 @dataclass(frozen=True)
 class _Root:
-    """A task's prefix node, built once by ``_plan`` and shared by its shards:
-    its coverage and its live (candidate, mask, gain) triples, ascending,
-    from the first shard value up to the largest ``m - a_1`` of any shard."""
+    """A task's prefix node, built once by ``_plan`` and shared by its shards,
+    with the task's constants that every shard reads.
+
+    ``shifts`` is the prefix's connection set and ``covered`` its coverage.
+    ``live`` holds its live (candidate, mask) pairs, ascending, from the
+    first shard value up to the largest ``m - a_1`` of any shard. ``pair``
+    is ``circulant.pair_masks(m)``, and ``bound_add[k]`` the most residues
+    the ``d - k`` shifts still to add to a set of ``k`` can add."""
 
     task: SearchTask
+    shifts: tuple[int, ...]
     covered: int
     live: list
+    pair: list[int]
+    bound_add: list[int]
 
 
 def _sym_cap(task: SearchTask, v: int) -> int:
     """``m - a_1`` in shard ``v``: no canonical tuple there holds a larger offset."""
     return task.m - (task.prefix[0] if task.prefix else v)
-
-
-def _bound_add(d: int) -> list[int]:
-    """``[k]``: the most residues the ``d - k`` shifts still to add to ``k`` can add."""
-    return [(d - k) * 2 * k + (d - k) * (d - k - 1) for k in range(d + 1)]
 
 
 def _accept(spec: PhiSpec, counters: SearchCounters, solutions: list[PhiSpec]) -> bool:
@@ -284,32 +317,43 @@ def _run_shard(
     ``m - a_1`` never reaches here (see ``_plan``). Unless ``shared`` is
     None, shard ``index`` gives up once the workers' cutoff ``shared[1]``
     falls below it, read before its first placement and after every 64th.
+    The node count is held in a local and tested against ``due``, the next
+    count at which the budget or that read falls due; when both do, the
+    budget stops the shard.
     """
     m, d = root.task.m, root.task.d
-    pair = pair_masks(m)
-    bound_add = _bound_add(d)
+    pair, bound_add = root.pair, root.bound_add
     full = (1 << m) - 1
     counters = SearchCounters()
     solutions: list[PhiSpec] = []
     find_first = root.task.mode == "find-first"
     # The connection set of the walk's current node; the prefix is not
     # counted as nodes.
-    shifts = list(PhiSpec(m, root.task.prefix).shifts)
+    shifts = list(root.shifts)
+    nodes = by_filter = by_gains = by_support = due = 0
 
     def expand(covered: int, live: list, count: int) -> None:
         # Place each of the first ``count`` live (candidate, mask against
-        # shifts, gain) triples of the current node and test the child in this
-        # loop: only children that live are expanded in turn.
+        # shifts) pairs of the current node and test the child in this loop:
+        # only children that live are expanded in turn.
+        nonlocal nodes, by_filter, by_gains, by_support, due
         k = len(shifts) + 1
         r = d - k
         for i in range(count):
-            if budget is not None and counters.nodes_visited >= budget:
-                counters.budget_stops += 1
-                raise _StopShard
-            if shared is not None and not counters.nodes_visited & 63 and shared[1] < index:
-                raise _StopShard
-            counters.nodes_visited += 1
-            v, mask_v, _ = live[i]
+            if nodes == due:
+                # The budget first, then the cutoff read; ``due`` moves on to
+                # the next count at which either falls due, -1 for never.
+                if nodes == budget:
+                    counters.budget_stops += 1
+                    raise _StopShard
+                if shared is None:
+                    due = -1 if budget is None else budget
+                elif shared[1] < index:
+                    raise _StopShard
+                else:
+                    due = nodes + 64 if budget is None else min(nodes + 64, budget)
+            nodes += 1
+            v, mask_v = live[i]
             shifts.append(v)
             if r == 0:
                 if _accept(PhiSpec(m, tuple(shifts[len(FIXED_SHIFTS) :])), counters, solutions) and find_first:
@@ -321,26 +365,25 @@ def _run_shard(
                 least = 2 * k - room
                 uncovered = full ^ child_covered
                 child = [
-                    (w, x, g)
-                    for w, mw, _ in live[i + 1 :]
-                    if (g := ((x := mw | pair[w - v]) & uncovered).bit_count()) >= least
+                    (w, x) for w, mw in live[i + 1 :] if ((x := mw | pair[w - v]) & uncovered).bit_count() >= least
                 ]
-                # Only candidates followed by enough live ones to finish the tuple.
+                # Only candidates followed by enough live ones to finish the
+                # tuple; with one offset left every live candidate completes
+                # a cover. Then the sum of gains, void with no slack, and
+                # support, which also cuts the child's loop.
                 count = len(child) - r + 1
-                if count > 0 and r > 1:
-                    # Sum of gains, void with no slack, then support, which
-                    # also cuts the child's loop. With one offset left every
-                    # live candidate completes a cover.
-                    if room > 0:
-                        gains = sorted(g for _, _, g in child)
-                        if sum(gains[-r:]) + r * (r - 1) < missing:
-                            count = 0
-                    if count > 0:
-                        count = _support_cut(uncovered, child, r, m, count)
-                if count > 0:
-                    expand(child_covered, child, count)
+                if count < 1:
+                    by_filter += 1
+                elif (
+                    r > 1
+                    and room > 0
+                    and sum(sorted([(x & uncovered).bit_count() for _, x in child])[-r:]) + r * (r - 1) < missing
+                ):
+                    by_gains += 1
+                elif r > 1 and not (count := _support_cut(uncovered, child, r, m, count)):
+                    by_support += 1
                 else:
-                    counters.pruned_by_bound += 1
+                    expand(child_covered, child, count)
             shifts.pop()
 
     sym_cap = _sym_cap(root.task, v)
@@ -348,12 +391,17 @@ def _run_shard(
         # Candidates beyond m - a_1 are never listed.
         counters.pruned_by_symmetry += (m - 2) - sym_cap
     live = root.live[bisect_left(root.live, (v,)) : bisect_left(root.live, (sym_cap + 1,))]
+    exhausted = False
     try:
         if live and live[0][0] == v and len(live) >= d - len(shifts):
             expand(root.covered, live, 1)
+        exhausted = True
     except _StopShard:
-        return counters, solutions, False
-    return counters, solutions, True
+        pass
+    counters.nodes_visited = nodes
+    counters.pruned_by_filter, counters.pruned_by_gains, counters.pruned_by_support = by_filter, by_gains, by_support
+    counters.pruned_by_bound = by_filter + by_gains + by_support
+    return counters, solutions, exhausted
 
 
 def _plan(task: SearchTask) -> tuple[_Root, list[tuple[int, int | None]], tuple[SearchCounters, list[PhiSpec], bool]]:
@@ -369,18 +417,20 @@ def _plan(task: SearchTask) -> tuple[_Root, list[tuple[int, int | None]], tuple[
     shifts = PhiSpec(m, prefix).shifts
     k = len(shifts)
     covered = difference_mask(m, shifts)
+    pair = pair_masks(m)
+    bound_add = [(d - j) * 2 * j + (d - j) * (d - j - 1) for j in range(d + 1)]
     if k == d:
         counters, solutions = SearchCounters(), []
         if covered.bit_count() == m:
             _accept(PhiSpec(m, prefix), counters, solutions)
-        return _Root(task, covered, []), [], (counters, solutions, True)
+        return _Root(task, shifts, covered, [], pair, bound_add), [], (counters, solutions, True)
     start = prefix[-1] + 1 if prefix else 2
     # A candidate's waste, 2k minus its gain, may not exceed the slack.
-    least = 2 * k - (covered.bit_count() + _bound_add(d)[k] - m)
+    least = 2 * k - (covered.bit_count() + bound_add[k] - m)
     live = [
-        (w, x, g)
+        (w, x)
         for w in range(start, _sym_cap(task, start) + 1)
-        if (g := ((x := shift_mask(m, w, shifts)) & ~covered).bit_count()) >= least
+        if ((x := shift_mask(m, w, shifts)) & ~covered).bit_count() >= least
     ]
     values = range(start, m - 1)
     if task.node_budget is None:
@@ -389,7 +439,8 @@ def _plan(task: SearchTask) -> tuple[_Root, list[tuple[int, int | None]], tuple[
         share, extra = divmod(task.node_budget, max(1, len(values)))
         budgets = [share + (i < extra) for i in range(len(values))]
     jobs = [(v, budget) for v, budget in zip(values, budgets) if v <= _sym_cap(task, v)]
-    return _Root(task, covered, live), jobs, (SearchCounters(pruned_by_symmetry=len(values) - len(jobs)), [], True)
+    root = _Root(task, shifts, covered, live, pair, bound_add)
+    return root, jobs, (SearchCounters(pruned_by_symmetry=len(values) - len(jobs)), [], True)
 
 
 def _work(shards: list, state, lock=None) -> dict[int, tuple[SearchCounters, list[PhiSpec], bool]]:

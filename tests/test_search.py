@@ -105,6 +105,46 @@ def test_engine_pinned_counters(d, m, solutions, nodes, by_bound, by_symmetry):
 
 
 @pytest.mark.parametrize(
+    "d, m, by_bound",
+    [(d, m, by_bound) for d, m, _, _, by_bound, _ in ENGINE_COUNTERS],
+    ids=[f"d{d}-m{m}" for d, m, *_ in ENGINE_COUNTERS],
+)
+def test_rule_deaths_sum_to_bound_prunes(d, m, by_bound):
+    """Every bound prune is counted once by the rule that killed the node:
+    the waste filter, the sum of gains or support. The report's counters
+    are the sum of its shards'."""
+    c = search_offsets(SearchTask(d=d, m=m)).counters
+    assert c.pruned_by_filter + c.pruned_by_gains + c.pruned_by_support == c.pruned_by_bound == by_bound
+
+
+RULE_DEATHS = [
+    (SearchTask(d=10, m=89), 4359, 0, 5858),
+    (SearchTask(d=8, m=45), 10172, 446, 352),
+    (SearchTask(d=9, m=65, mode="find-first"), 8333, 2137, 2310),
+]
+
+
+@pytest.mark.parametrize(
+    "task, by_filter, by_gains, by_support",
+    RULE_DEATHS,
+    ids=[f"d{t.d}-m{t.m}-{t.mode}" for t, *_ in RULE_DEATHS],
+)
+def test_rule_deaths(task, by_filter, by_gains, by_support):
+    """Deaths per rule, pinned: at the cap the sum of gains has no slack to
+    act on, off it all three rules kill nodes. They stay out of the JSON."""
+    report = search_offsets(task)
+    c = report.counters
+    assert (c.pruned_by_filter, c.pruned_by_gains, c.pruned_by_support) == (by_filter, by_gains, by_support)
+    assert set(report.to_json_dict()["counters"]) == {
+        "nodesVisited",
+        "prunedByBound",
+        "prunedBySymmetry",
+        "solutionsFound",
+        "budgetStops",
+    }
+
+
+@pytest.mark.parametrize(
     "d, m",
     [(d, m) for d in range(4, 8) for m in range(max(5, d), d * d - d)]
     + [(8, 45), (8, 47), (8, 49), (8, 51), (8, 52), (8, 53), (8, 54), (8, 55)]
@@ -122,30 +162,34 @@ def test_engine_matches_bound_only_oracle(d, m):
 
 def _support_case(rng: random.Random, fewest: int, most: int, spare: int):
     """A seeded node: modulus, residues still uncovered, a sorted live list of
-    ``fewest`` to ``most`` (candidate, mask against the node's shifts, gain)
-    triples and the number ``r`` of offsets still to place, from 2 to 4 with
-    at least ``spare`` candidates to spare."""
+    ``fewest`` to ``most`` (candidate, mask against the node's shifts) pairs
+    and the number ``r`` of offsets still to place, from 2 to 4 with at least
+    ``spare`` candidates to spare."""
     m = rng.randint(10, 30)
     offsets = rng.sample(range(2, m - 1), rng.randint(0, 2))
     shifts = PhiSpec(m, offsets).shifts
     uncovered = (1 << m) - 1 & ~difference_mask(m, shifts)
     rest = [w for w in range(2, m - 1) if w not in offsets]
-    live = []
-    for w in sorted(rng.sample(rest, rng.randint(fewest, min(most, len(rest))))):
-        mask = shift_mask(m, w, shifts)
-        live.append((w, mask, (mask & uncovered).bit_count()))
+    live = [(w, shift_mask(m, w, shifts)) for w in sorted(rng.sample(rest, rng.randint(fewest, min(most, len(rest)))))]
     return m, uncovered, live, rng.randint(2, min(4, len(live) - spare))
 
 
+def _union_and_differences(chosen, m: int) -> tuple[int, int]:
+    """The union of the chosen pairs' masks, and the residues ``+-(f2 - f1)``
+    of their values."""
+    union = diffs = 0
+    for _, mask in chosen:
+        union |= mask
+    for (f1, _), (f2, _) in combinations(chosen, 2):
+        diffs |= 1 << (f2 - f1) % m | 1 << (f1 - f2) % m
+    return union, diffs
+
+
 def _covers(chosen, uncovered: int, m: int) -> bool:
-    """Whether the chosen triples cover ``uncovered`` with their masks and the
+    """Whether the chosen pairs cover ``uncovered`` with their masks and the
     residues ``+-(f2 - f1)`` of their pairs."""
-    c = 0
-    for _, mask, _ in chosen:
-        c |= mask
-    for (f1, _, _), (f2, _, _) in combinations(chosen, 2):
-        c |= 1 << (f2 - f1) % m | 1 << (f1 - f2) % m
-    return not uncovered & ~c
+    union, diffs = _union_and_differences(chosen, m)
+    return not uncovered & ~(union | diffs)
 
 
 def test_support_rule_never_prunes_a_coverable_node():
@@ -198,6 +242,42 @@ def test_support_cut_never_drops_a_coverable_suffix():
         tight += cut > 0 and first[cut - 1]
     assert inside > cases // 4
     assert tight > cases // 4
+
+
+def test_support_cut_where_the_difference_pass_starts():
+    """``_support_cut`` builds a suffix's differences only once at most
+    ``r*(r-1)`` uncovered residues lie outside its union. Seeded nodes put
+    exactly ``r*(r-1)`` outside the union of a random suffix, drawn half the
+    time from that suffix's differences, so the test at that count goes
+    both ways. The cut is the first suffix that fails the support test as
+    brute force over its masks and value pairs reads it, the test is
+    monotone, and no suffix from the cut on holds a cover."""
+    rng = random.Random(15)
+    cases, passed, failed = 0, 0, 0
+    while cases < 2000:
+        m, uncovered, live, r = _support_case(rng, 3, 8, 1)
+        most, count = r * (r - 1), len(live) - r + 1
+        j = rng.randrange(count)
+        union, diffs = _union_and_differences(live[j:], m)
+        pool = [t for t in range(1, m) if not union >> t & 1 and (rng.random() < 0.5 or diffs >> t & 1)]
+        if len(pool) < most:
+            continue
+        cases += 1
+        uncovered = uncovered & union | sum(1 << t for t in rng.sample(pool, most))
+        cut = search._support_cut(uncovered, live, r, m, count)
+        supported = []
+        for i in range(count):
+            union, diffs = _union_and_differences(live[i:], m)
+            outside = uncovered & ~union
+            supported.append(outside.bit_count() <= most and not outside & ~diffs)
+        case = (m, uncovered, live, r, cut)
+        assert supported == sorted(supported, reverse=True), case
+        assert cut == sum(supported), case
+        assert not any(_covers(chosen, uncovered, m) for chosen in combinations(live[cut:], r)), case
+        passed += supported[j]
+        failed += not supported[j]
+    assert passed > cases // 5
+    assert failed > cases // 5
 
 
 @pytest.mark.parametrize("m", range(5, 12))
@@ -495,6 +575,21 @@ def test_shard_past_cutoff_gives_up_within_64_placements():
     assert counters.budget_stops == 0
     counters, _, exhausted = search._run_shard(root, *job, 5, [0, 5])
     assert (counters.nodes_visited, exhausted) == (306, True)
+
+
+def test_budget_and_cutoff_read_fall_due_on_one_count():
+    """A budgeted shard stops at its budget, reads the cutoff before its first
+    placement and after every 64th, and when both fall due on one count the
+    budget stops it without reading the cutoff."""
+    root, _, _ = search._plan(SearchTask(d=9, m=71))
+    counters, _, exhausted = search._run_shard(root, 4, 100, 5, [0, 5])
+    assert (counters.nodes_visited, exhausted, counters.budget_stops) == (100, False, 1)
+    counters, _, exhausted = search._run_shard(root, 4, 200, 5, _CutoffDroppedOnRead(3))
+    assert (counters.nodes_visited, exhausted, counters.budget_stops) == (128, False, 0)
+    shared = _CutoffDroppedOnRead(2)
+    counters, _, exhausted = search._run_shard(root, 4, 64, 5, shared)
+    assert (counters.nodes_visited, exhausted, counters.budget_stops) == (64, False, 1)
+    assert shared.reads == 1
 
 
 @pytest.fixture
