@@ -391,13 +391,12 @@ def _run_shard(
         # Candidates beyond m - a_1 are never listed.
         counters.pruned_by_symmetry += (m - 2) - sym_cap
     live = root.live[bisect_left(root.live, (v,)) : bisect_left(root.live, (sym_cap + 1,))]
-    exhausted = False
     try:
         if live and live[0][0] == v and len(live) >= d - len(shifts):
             expand(root.covered, live, 1)
         exhausted = True
     except _StopShard:
-        pass
+        exhausted = False
     counters.nodes_visited = nodes
     counters.pruned_by_filter, counters.pruned_by_gains, counters.pruned_by_support = by_filter, by_gains, by_support
     counters.pruned_by_bound = by_filter + by_gains + by_support
