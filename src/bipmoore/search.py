@@ -72,8 +72,8 @@ read in ascending order and each walks its subtree lexicographically, so
 the merged solution list is sorted as it is built. ``find-first`` stops the
 shard that finds a solution and reads no shard after it: the report holds
 the smallest canonical solution and the work of the shards up to it. A
-node budget is split across all shard values so that the shard budgets sum
-to it. Reports are byte-identical for any worker count.
+node budget is split across the shards that run so that the shard budgets
+sum to it. Reports are byte-identical for any worker count.
 
 Every search, and every ``max_m`` scan, runs its shards through one loop,
 ``_work``. The shards of all its tasks form one list, in task and shard
@@ -410,7 +410,7 @@ def _plan(task: SearchTask) -> tuple[_Root, list[tuple[int, int | None]], tuple[
     A fully pinned prefix is a leaf, settled here, and runs no shard.
     Otherwise the result counts the shard values beyond ``m - a_1`` as
     symmetry prunes: they hold nothing canonical and are never run. The
-    budget is split over every shard value.
+    budget is split over the shards that run.
     """
     m, d, prefix = task.m, task.d, task.prefix
     shifts = PhiSpec(m, prefix).shifts
@@ -432,14 +432,15 @@ def _plan(task: SearchTask) -> tuple[_Root, list[tuple[int, int | None]], tuple[
         if ((x := shift_mask(m, w, shifts)) & ~covered).bit_count() >= least
     ]
     values = range(start, m - 1)
+    runs = [v for v in values if v <= _sym_cap(task, v)]
     if task.node_budget is None:
-        budgets = [None] * len(values)
+        budgets = [None] * len(runs)
     else:
-        share, extra = divmod(task.node_budget, max(1, len(values)))
-        budgets = [share + (i < extra) for i in range(len(values))]
-    jobs = [(v, budget) for v, budget in zip(values, budgets) if v <= _sym_cap(task, v)]
+        share, extra = divmod(task.node_budget, max(1, len(runs)))
+        budgets = [share + (i < extra) for i in range(len(runs))]
     root = _Root(task, shifts, covered, live, pair, bound_add)
-    return root, jobs, (SearchCounters(pruned_by_symmetry=len(values) - len(jobs)), [], True)
+    planned = SearchCounters(pruned_by_symmetry=len(values) - len(runs))
+    return root, list(zip(runs, budgets)), (planned, [], True)
 
 
 def _work(shards: list, state, lock=None) -> dict[int, tuple[SearchCounters, list[PhiSpec], bool]]:

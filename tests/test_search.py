@@ -397,9 +397,9 @@ def test_engine_find_first_counters(d, m, witness, nodes, by_bound, by_symmetry)
 def test_find_first_budget_worker_determinism():
     """Budget-stopped shards before the deciding one: the same report at any
     worker count."""
-    # 71 nodes for each of the 42 shard values: the first shard, which holds
-    # the smallest witness, needs 72, so a later shard decides.
-    task = SearchTask(d=8, m=45, mode="find-first", node_budget=2982)
+    # 71 nodes for each of the 21 shards that run: the first shard, which
+    # holds the smallest witness, needs 72, so a later shard decides.
+    task = SearchTask(d=8, m=45, mode="find-first", node_budget=1491)
     report = search_offsets(task)
     assert report.counters.budget_stops > 0
     assert len(report.solutions) == 1
@@ -420,11 +420,11 @@ def test_find_first_worker_determinism_degree9():
 
 def test_dead_shards_counted_not_run():
     """Shard values beyond m - a_1 are symmetry prunes counted by the planner;
-    the budget is still split over every shard value."""
+    the budget is split over the shards that run."""
     _, jobs, (planned, solutions, exhausted) = search._plan(SearchTask(d=9, m=71, node_budget=100))
     assert [v for v, _ in jobs] == list(range(2, 36))
     assert (planned.pruned_by_symmetry, planned.nodes_visited, solutions, exhausted) == (34, 0, [], True)
-    assert [budget for _, budget in jobs] == [2] * 32 + [1] * 2
+    assert [budget for _, budget in jobs] == [3] * 32 + [2] * 2
     _, jobs, (planned, _, _) = search._plan(SearchTask(d=9, m=71, prefix=(30,)))
     assert [v for v, _ in jobs] == list(range(31, 42))
     assert planned.pruned_by_symmetry == 69 - 41
@@ -477,7 +477,7 @@ def _recording_work(monkeypatch, run=True) -> list:
     [
         SearchTask(d=9, m=71),
         SearchTask(d=9, m=65, mode="find-first"),
-        SearchTask(d=8, m=45, node_budget=2982),
+        SearchTask(d=8, m=45, node_budget=1491),
         SearchTask(d=9, m=71, prefix=(30,)),
         SearchTask(d=5, m=19, prefix=(5, 8)),
         SearchTask(d=11, m=109),
@@ -529,7 +529,7 @@ def test_budget_stop_runs_every_shard_of_its_task(monkeypatch):
     call returns no report past it. Find-first cuts at the deciding shard
     even after budget stops, as the shards run one by one do."""
     calls = _recording_work(monkeypatch)
-    budgeted = SearchTask(d=8, m=45, node_budget=2982)
+    budgeted = SearchTask(d=8, m=45, node_budget=1491)
     reports = search._search([budgeted, SearchTask(d=7, m=41)], 1)
     (shards, state, results), = calls
     _, jobs, _ = search._plan(budgeted)
@@ -538,7 +538,7 @@ def test_budget_stop_runs_every_shard_of_its_task(monkeypatch):
     assert [report.task for report in reports] == [budgeted]
     assert reports[0].counters.budget_stops > 0
     calls.clear()
-    root, jobs, _ = search._plan(SearchTask(d=8, m=45, mode="find-first", node_budget=2982))
+    root, jobs, _ = search._plan(SearchTask(d=8, m=45, mode="find-first", node_budget=1491))
     search_offsets(root.task)
     (_, state, results), = calls
     deciding = state[1]
