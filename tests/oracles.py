@@ -142,15 +142,16 @@ def cycle_walk_oracle(g: BipartiteGraph) -> list[FourCycle]:
     ]
 
 
-def _short_cycles_walk(cycles: list[FourCycle]) -> ShortCycleSet:
-    """The cycle set of a walk: each left pair's common neighbors gathered
-    from its cycles, and the cycles through each vertex counted."""
+def short_cycles_walk(cycles: list[FourCycle]) -> tuple[ShortCycleSet, dict[Vertex, int]]:
+    """The cycle set of a walk, each left pair's common neighbors gathered
+    from its cycles, and the cycles through each vertex, counted one cycle
+    at a time and keyed in the order the walk first visits them."""
     common: dict[tuple[int, int], set[int]] = {}
     for c in cycles:
         common.setdefault(c.left, set()).update(c.right)
     pairs = tuple((a, b, tuple(sorted(js))) for (a, b), js in common.items())
     counts = Counter(v for c in cycles for v in c.vertices)
-    return ShortCycleSet(pairs=pairs, per_vertex_count=dict(counts))
+    return ShortCycleSet(pairs=pairs), dict(counts)
 
 
 def _components_walk(groups) -> list[frozenset[Vertex]]:
@@ -173,7 +174,9 @@ def _components_walk(groups) -> list[frozenset[Vertex]]:
     return sorted((frozenset(comp) for comp in members.values()), key=min)
 
 
-def _subgraph_components(cycles, indices):
+def subgraph_components_oracle(cycles, indices):
+    """The components of the union of the indexed cycles, in order of their
+    least vertex, each with its edges and its cycle indices."""
     parts = _components_walk(cycles[k].vertices for k in indices)
     part_of = {v: idx for idx, part in enumerate(parts) for v in part}
     members: list[list[int]] = [[] for _ in parts]
@@ -278,28 +281,25 @@ def decomposition_oracle(g: BipartiteGraph) -> Decomposition:
         tuple(k for k, lab in enumerate(labels) if lab == want) for want in ("s2", "s1", "s0")
     )
     gamma2 = tuple(
-        ThetaComponent(
-            vertices, edges, indices, *_recognize_theta_walk(vertices, edges, len(indices))
-        )
-        for vertices, edges, indices in _subgraph_components(cycles, s2)
+        ThetaComponent(vertices, *_recognize_theta_walk(vertices, edges, len(indices)))
+        for vertices, edges, indices in subgraph_components_oracle(cycles, s2)
     )
     gamma1 = tuple(
         PhiComponent(
-            vertices,
-            edges,
-            indices,
-            *recognize_phi_oracle(vertices, edges, [cycles[k] for k in indices]),
+            vertices, *recognize_phi_oracle(vertices, edges, [cycles[k] for k in indices])
         )
-        for vertices, edges, indices in _subgraph_components(cycles, s1)
+        for vertices, edges, indices in subgraph_components_oracle(cycles, s1)
     )
-    gamma0 = tuple(Gamma0Part(*part) for part in _subgraph_components(cycles, s0))
+    gamma0 = tuple(
+        Gamma0Part(vertices) for vertices, _, _ in subgraph_components_oracle(cycles, s0)
+    )
 
     v2, v1, v0 = (frozenset(v for k in ks for v in cycles[k].vertices) for ks in (s2, s1, s0))
     on_cycles = v2 | v1 | v0
     residue = frozenset(v for v in g.vertices() if v not in on_cycles)
     disjoint = not (v2 & v1 or v2 & v0 or v1 & v0)
     return Decomposition(
-        cycles=_short_cycles_walk(cycles),
+        cycles=short_cycles_walk(cycles)[0],
         labels=labels,
         s2=s2,
         s1=s1,

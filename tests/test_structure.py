@@ -35,6 +35,8 @@ from oracles import (
     pairwise_labels_oracle,
     random_bipartite,
     recognize_phi_oracle,
+    short_cycles_walk,
+    subgraph_components_oracle,
 )
 
 
@@ -360,8 +362,8 @@ def decomposition_corpus() -> list[tuple[BipartiteGraph, int]]:
 
 def test_decomposition_matches_oracle():
     """The pair-keyed decomposition equals the cycle walk it replaced: the
-    same ``Decomposition``, the walk's cycles in the walk's order, per-vertex
-    counts keyed in the same order, the same minimal closed sets as
+    same ``Decomposition``, the walk's cycles in the walk's order, the walk's
+    own per-vertex counts, keyed in the same order, the same minimal closed sets as
     breadth-first components of the walk's repeat pairs, and the same
     observation report."""
     kinds: Counter[str] = Counter()
@@ -372,7 +374,7 @@ def test_decomposition_matches_oracle():
         assert dec == want
         walk = cycle_walk_oracle(g)
         assert dec.cycles.cycles == tuple(walk)
-        assert list(dec.cycles.per_vertex_count.items()) == list(want.cycles.per_vertex_count.items())
+        assert list(dec.cycles.per_vertex_count.items()) == list(short_cycles_walk(walk)[1].items())
         closed = repeat_structure(g, dec.cycles).minimal_closed_sets
         oracle_sets = components_oracle([pair for c in walk for pair in c.repeat_pairs()])
         assert closed == tuple(sorted(oracle_sets, key=min))
@@ -407,30 +409,72 @@ def moved_edge_rings() -> list[BipartiteGraph]:
 
 
 def test_recognize_phi_matches_pairwise_oracle():
-    """Circulant recognition through the edge-to-cycles index agrees with the
-    pairwise cycle comparison on every 1-path component, and on the whole
-    cycle set taken as one component."""
+    """Circulant recognition by the walk along pair records agrees with the
+    pairwise cycle comparison on every 1-path component, fed with the oracle
+    decomposition's own edges and cycles, and on the whole cycle set taken
+    as one component."""
     graphs = [build_phi(m) for m in range(5, 61)] + moved_edge_rings()
     recognized = 0
     for g in graphs:
         dec = classify_and_decompose(g)
-        cycles = dec.cycles.cycles
-        candidates = [
-            (comp.vertices, comp.edges, [cycles[k] for k in comp.cycle_indices])
-            for comp in dec.gamma1
+        walk = cycle_walk_oracle(g)
+        got = [(comp.recognized, comp.m_prime, comp.x_order, comp.y_order) for comp in dec.gamma1]
+        want = [
+            recognize_phi_oracle(vertices, edges, [walk[k] for k in indices])
+            for vertices, edges, indices in subgraph_components_oracle(walk, decomposition_oracle(g).s1)
         ]
-        candidates.append(
-            (
-                frozenset(dec.cycles.per_vertex_count),
-                frozenset((i, j) for c in cycles for i in c.left for j in c.right),
-                list(cycles),
-            )
-        )
-        for vertices, edges, comp_cycles in candidates:
-            got = _recognize_phi(vertices, edges, [(c.left, c.right) for c in comp_cycles])
-            assert got == recognize_phi_oracle(vertices, edges, comp_cycles)
-            recognized += got[0]
+        assert got == want
+        whole = recognize_whole_cycle_set(g, dec.cycles.pairs)
+        assert whole == recognize_whole_cycle_set_oracle(g, walk)
+        recognized += sum(entry[0] for entry in got) + whole[0]
     assert recognized >= 2 * 56
+
+
+def recognize_whole_cycle_set(g, pairs):
+    """``_recognize_phi`` on every cycle taken as one component, over the
+    union of the pairs' edges."""
+    nbr, comp = [0] * g.order, 0
+    for a, b, js in pairs:
+        for j in js:
+            y = 1 << (g.n_left + j)
+            nbr[a] |= y
+            nbr[b] |= y
+            comp |= 1 << a | 1 << b | y
+    return _recognize_phi(comp, nbr, list(pairs), g.n_left)
+
+
+def recognize_whole_cycle_set_oracle(g, walk):
+    edges = frozenset((i, j) for c in walk for i in c.left for j in c.right)
+    vertices = frozenset(v for c in walk for v in c.vertices)
+    return recognize_phi_oracle(vertices, edges, walk)
+
+
+def test_recognize_phi_rejects_what_the_walk_does_not_fill():
+    """Two graphs whose first pair starts a walk that shares one right vertex
+    at every step and never meets a left id on more or fewer than two pairs,
+    yet which are no circulant ring. In ``twin``, a ring on five shares its
+    right vertex 0 with a second cycle of five pairs on left ids 5-9, so the
+    walk closes after five of the ten pairs and fills half the component.
+    In ``chord``, the ring on ten gains the edges (0, 5) and (1, 5), so pair
+    ``0, 1`` has a third common neighbour, and with every cycle taken as one
+    component the walk goes all the way round but ``nbr[0]`` is off the
+    pattern."""
+    twin = BipartiteGraph.from_neighbor_lists(
+        [sorted({(i - 1) % 5, i, (i + 1) % 5}) for i in range(5)]
+        + [[0, 5, 8, 9], [0, 5, 6], [5, 6, 7], [6, 7, 8], [7, 8, 9]],
+        10,
+    )
+    ring = build_phi(10)
+    chord = BipartiteGraph.from_edges(
+        10, 10, [(i, j) for i in range(10) for j in ring.left_neighbors(i)] + [(0, 5), (1, 5)]
+    )
+    for g in (twin, chord):
+        dec = classify_and_decompose(g)
+        assert dec == decomposition_oracle(g)
+        assert recognize_whole_cycle_set(g, dec.cycles.pairs) == (False, None, (), ())
+        assert recognize_whole_cycle_set_oracle(g, cycle_walk_oracle(g)) == (False, None, (), ())
+    dec = classify_and_decompose(twin)
+    assert [(comp.recognized, len(comp.vertices)) for comp in dec.gamma1] == [(False, 20)]
 
 
 def test_decomposition_builds_no_cycle_objects(monkeypatch):
