@@ -207,8 +207,8 @@ def cmd_verify_known(args: argparse.Namespace) -> int:
         result = check_isomorphism(g1, g2)
         lines.append(f"pair ({a}, {b}): {result.to_text()}")
         failures += [f"pair ({a}, {b}): {failure}" for failure in result.failures(non_isomorphic=True)]
-    if args.export:
-        out_dir = Path(args.out_dir)
+    if args.export is not None:
+        out_dir = Path(args.export)
         out_dir.mkdir(parents=True, exist_ok=True)
         for text, g in zip(texts, graphs):
             spec = parse_spec(text)
@@ -312,8 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("verify-known", help="verify the embedded witness fixtures")
-    p.add_argument("--export", action="store_true", help="write adjacency-list files")
-    p.add_argument("--out-dir", default=".", help="directory for --export (default: .)")
+    p.add_argument(
+        "--export", nargs="?", const=".", metavar="DIR",
+        help="write adjacency-list files to DIR (default: .)",
+    )
     p.set_defaults(func=cmd_verify_known, json=False)
 
     return parser

@@ -325,7 +325,13 @@ def test_verify_known_reports_isomorphism_truth(capsys):
 
 
 def test_verify_known_export(tmp_path, capsys):
-    code, out, err = run(capsys, "verify-known", "--export", "--out-dir", str(tmp_path))
+    """``--export DIR`` writes the three records there; ``--out-dir`` is no
+    option."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-known", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
+    code, out, err = run(capsys, "verify-known", "--export", str(tmp_path))
     assert code == 1  # the isomorphism finding does not block the export
     names = [
         "phi95_4_7_16_27_38_52_62_81.adj",
