@@ -5,9 +5,8 @@ from .bounds import DefectRecord, defect, max_m_upper_bound, moore_bound
 from .caseanalysis import (
     AuditEntry,
     AuditReport,
-    ContractionGraph,
     ContractionSurvey,
-    build_contraction,
+    contraction_diameter_at_most_2,
     contraction_feasibility,
     enumerate_multisets,
     nonexistence_case_audit,

@@ -7,20 +7,41 @@ arithmetic, by an exhaustive offset search, or by a contraction argument;
 this module makes every one of those steps a reproducible computation and
 reports the conjunction.
 
+The structural rules the cases apply (the theta block's order, the
+smallest ring order, the 0-path union's blocks, the ring orders allowed
+beside a theta block and beside the 0-path union, and the join rule for
+rings) are imported from the "Defect-4 rules" block of ``structure``, where
+``check_observations`` applies them to real graphs; none is restated here.
+
 Two-step reach limits used by the mixed cases are imported as named
 constants (they summarize saturation arguments about hypothetical graphs,
 not computations this artifact can rerun); all divisibility, enumeration and
 composition steps are computed live. Each audit entry says which: its
 provenance is ``imported`` when its verdict rests on those reach constants
-or on the known degree-7 facts, and ``computed`` otherwise.
+or on the known degree-7 facts, and ``computed`` otherwise. The imported
+entries are ``gamma2_gamma1_span``, ``gamma2_gamma0_span``,
+``gamma2_gamma1_gamma0_span`` and ``optimality``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bounds import max_m_upper_bound, moore_bound
 from .search import SearchTask, search_offsets
+from .structure import (
+    GAMMA0_BLOCK,
+    GAMMA0_MIN_ORDER,
+    MIN_RING_ORDER,
+    THETA_ORDER,
+    gamma0_size_ok,
+    ring_orders_beside_gamma0,
+    ring_orders_beside_theta,
+    ring_ratio_cap,
+    rings_join,
+)
 
 # Per-partite-set two-step reach limits in a degree-7 defect-4 graph.
 BRANCH_TO_GAMMA1_REACH = 15
@@ -37,10 +58,6 @@ GAMMA2_CONTACTS_REACHABLE = 4
 # the defect-2 graph do not exist; a defect-6 graph on 80 vertices is known.
 DEGREE7_KNOWN_ABSENT_DEFECTS = (0, 2)
 DEGREE7_KNOWN_ORDER = 80
-
-THETA_ORDER = 5  # vertices in a 2-path-union component
-GAMMA0_BLOCK = 8  # vertices per minimal closed-repeat block in the 0-path union
-GAMMA0_MIN_BLOCKS = 3
 
 
 def enumerate_multisets(
@@ -69,44 +86,17 @@ def enumerate_multisets(
     return results
 
 
-@dataclass(frozen=True)
-class ContractionGraph:
-    """One vertex per part; parts joined when one order divides the other
-    (quotient capped when ``ratio_cap`` is set)."""
-
-    parts: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-    ratio_cap: int | None
-
-    def diameter_at_most_2(self) -> bool:
-        n = len(self.parts)
-        adj = [set() for _ in range(n)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j not in adj[i] and not adj[i] & adj[j]:
-                    return False
-        return True
-
-
-def build_contraction(parts, ratio_cap: int | None = None) -> ContractionGraph:
-    ordered = tuple(sorted(parts))
-    edges = set()
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            a, b = ordered[i], ordered[j]
-            if b % a == 0:
-                quotient = b // a
-            elif a % b == 0:
-                quotient = a // b
-            else:
-                continue
-            if ratio_cap is not None and quotient > ratio_cap:
-                continue
-            edges.add((i, j))
-    return ContractionGraph(parts=ordered, edges=frozenset(edges), ratio_cap=ratio_cap)
+def contraction_diameter_at_most_2(parts: Iterable[int], ratio_cap: int | None = None) -> bool:
+    """Whether the contraction, one vertex per part with parts joined when
+    ``rings_join`` allows, has diameter at most 2."""
+    ordered = sorted(parts)
+    pairs = list(combinations(range(len(ordered)), 2))
+    adj = [0] * len(ordered)
+    for i, j in pairs:
+        if rings_join(ordered[i], ordered[j], ratio_cap):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return all(adj[i] >> j & 1 or adj[i] & adj[j] for i, j in pairs)
 
 
 @dataclass(frozen=True)
@@ -118,26 +108,26 @@ class ContractionSurvey:
 
 def contraction_feasibility(
     total: int = 41,
-    min_part: int = 5,
+    min_part: int = MIN_RING_ORDER,
     max_part: int = 36,
     n_min: int = 2,
     n_max: int = 8,
-    ratio_cap: int | None = 4,
+    ratio_cap: int | None = ring_ratio_cap(7),
 ) -> ContractionSurvey:
     """Which part multisets contract to a graph of diameter at most 2.
 
-    The edge rule joins parts whose orders divide one another with quotient
-    at most ``ratio_cap``; for a degree-``d`` defect-4 analysis the sound cap
-    is ``d - 3``, and the default matches the degree-7 instance the other
-    defaults describe. ``ratio_cap=None`` drops the cap (plain divisibility),
-    which admits strictly more edges: at the default instance that uncapped
-    rule is *not* empty ({5, 6, 30} contracts to a 2-path), so the cap is
-    load-bearing.
+    The edge rule is ``structure.rings_join``: parts whose orders divide one
+    another with quotient at most ``ratio_cap``; for a degree-``d`` defect-4
+    analysis the sound cap is ``ring_ratio_cap(d)``, and the default matches
+    the degree-7 instance the other defaults describe. ``ratio_cap=None``
+    drops the cap (plain divisibility), which admits strictly more edges: at
+    the default instance that uncapped rule is *not* empty ({5, 6, 30}
+    contracts to a 2-path), so the cap is load-bearing.
     """
     feasible = []
     candidates = enumerate_multisets(total, min_part, max_part, n_min, n_max)
     for parts in candidates:
-        if build_contraction(parts, ratio_cap).diameter_at_most_2():
+        if contraction_diameter_at_most_2(parts, ratio_cap):
             feasible.append(parts)
     return ContractionSurvey(
         feasible=tuple(feasible), examined=len(candidates), ratio_cap=ratio_cap
@@ -228,13 +218,14 @@ def nonexistence_case_audit(
     non-existence; for other degrees only the generic arithmetic entries run
     and the mixed cases are out-of-scope, so the verdict stays inconclusive.
 
-    The contraction entry always uses the sound quotient cap ``d - 3`` and
-    reports it as ``ratioCap``. Plain divisibility is not sound here: at d=7
-    it admits {5, 6, 30} (see ``contraction_feasibility(ratio_cap=None)``).
+    The contraction entry always uses the sound quotient cap
+    ``ring_ratio_cap(d)`` and reports it as ``ratioCap``. Plain divisibility
+    is not sound here: at d=7 it admits {5, 6, 30} (see
+    ``contraction_feasibility(ratio_cap=None)``).
     """
     if d < 4:
         raise ValueError("audit needs degree at least 4")
-    ratio_cap = d - 3
+    ratio_cap = ring_ratio_cap(d)
     bound = moore_bound(d, 3)
     order = bound - 4
     half = order // 2
@@ -276,10 +267,10 @@ def nonexistence_case_audit(
     # Case: the 1-path union spans with several components.
     survey = contraction_feasibility(
         total=m_target,
-        min_part=5,
-        max_part=m_target - 5,
+        min_part=MIN_RING_ORDER,
+        max_part=m_target - MIN_RING_ORDER,
         n_min=2,
-        n_max=m_target // 5,
+        n_max=m_target // MIN_RING_ORDER,
         ratio_cap=ratio_cap,
     )
     entries.append(
@@ -329,27 +320,26 @@ def nonexistence_case_audit(
             )
         )
 
-        min_gamma0 = GAMMA0_BLOCK * GAMMA0_MIN_BLOCKS
         max_gamma0 = 2 * NONBRANCH_TO_GAMMA0_REACH
         entries.append(
             AuditEntry(
                 name="gamma2_gamma0_span",
                 claim="next to a 2-path union the 0-path union is capped below its minimum size",
-                values={"maxGamma0": max_gamma0, "minGamma0": min_gamma0},
-                status=_status(max_gamma0 < min_gamma0),
+                values={"maxGamma0": max_gamma0, "minGamma0": GAMMA0_MIN_ORDER},
+                status=_status(max_gamma0 < GAMMA0_MIN_ORDER),
                 provenance="imported",
             )
         )
 
         # 1-path components adjacent to the 0-path union have order 2m' with
-        # m' = 4k, 2 <= k <= d-4; an odd-order component would have to divide
-        # one of those m'.
-        allowed_next_to_gamma0 = [4 * k for k in range(2, d - 4 + 1)]
+        # m' in ``ring_orders_beside_gamma0``; an odd-order component would
+        # have to divide one of those m'.
+        beside_gamma0 = list(ring_orders_beside_gamma0(d))
         odd_divisors = sorted(
             {
                 q
-                for mp in allowed_next_to_gamma0
-                for q in range(5, mp + 1, 2)
+                for mp in beside_gamma0
+                for q in range(MIN_RING_ORDER, mp + 1, 2)
                 if mp % q == 0
             }
         )
@@ -359,7 +349,7 @@ def nonexistence_case_audit(
                 claim="all 1-path components would need even modulus, forcing the order"
                 " to be divisible by 4",
                 values={
-                    "allowedModuliNextToGamma0": allowed_next_to_gamma0,
+                    "allowedModuliNextToGamma0": beside_gamma0,
                     "oddModuliAvailable": odd_divisors,
                     "orderMod4": order % 4,
                 },
@@ -370,40 +360,41 @@ def nonexistence_case_audit(
 
         # All three unions nonempty.
         gamma0_cap_claim1 = 2 * GAMMA1_TO_GAMMA0_REACH
-        from_gamma0 = [4 * k for k in range(2, d - 4 + 1)]
-        from_gamma2 = [3 * k for k in range(2, d - 2 + 1)]
-        forced_moduli = sorted(set(from_gamma0) & set(from_gamma2))
+        beside_theta = list(ring_orders_beside_theta(d))
+        forced_moduli = sorted(set(beside_gamma0) & set(beside_theta))
         component_order = 2 * forced_moduli[0] if len(forced_moduli) == 1 else None
         values: dict = {
             "claim1MaxGamma0": gamma0_cap_claim1,
-            "claim1MinGamma0": min_gamma0,
+            "claim1MinGamma0": GAMMA0_MIN_ORDER,
             "claim2Required": GAMMA2_CONTACTS_REQUIRED,
             "claim2Reachable": GAMMA2_CONTACTS_REACHABLE,
-            "moduliNextToGamma0": from_gamma0,
-            "moduliNextToGamma2": from_gamma2,
+            "moduliNextToGamma0": beside_gamma0,
+            "moduliNextToGamma2": beside_theta,
             "forcedModuli": forced_moduli,
         }
         ok = (
-            gamma0_cap_claim1 < min_gamma0
+            gamma0_cap_claim1 < GAMMA0_MIN_ORDER
             and GAMMA2_CONTACTS_REACHABLE < GAMMA2_CONTACTS_REQUIRED
             and component_order is not None
         )
         if component_order is not None:
-            # sizes of the 2-path union compatible with the forced component order
+            # sizes of the 2-path union compatible with the forced component
+            # order, in steps of two theta blocks
+            pair_order = 2 * THETA_ORDER
             gamma2_candidates = [
                 g2
-                for g2 in range(10, order - component_order - min_gamma0 + 1, 10)
+                for g2 in range(pair_order, order - component_order - GAMMA0_MIN_ORDER + 1, pair_order)
                 if (order - g2) % GAMMA0_BLOCK == 0
             ]
             values["forcedComponentOrder"] = component_order
             values["gamma2Candidates"] = gamma2_candidates
-            ok = ok and gamma2_candidates == [10]
-            if gamma2_candidates == [10]:
-                rest = order - 10
+            ok = ok and gamma2_candidates == [pair_order]
+            if gamma2_candidates == [pair_order]:
+                rest = order - pair_order
                 splits = [
                     (g1, rest - g1)
-                    for g1 in range(component_order, rest - min_gamma0 + 1, component_order)
-                    if (rest - g1) % GAMMA0_BLOCK == 0 and rest - g1 >= min_gamma0
+                    for g1 in range(component_order, rest - GAMMA0_MIN_ORDER + 1, component_order)
+                    if gamma0_size_ok(rest - g1)
                 ]
                 values["splits"] = splits
                 per_side_required = [max(g1, g0) // 2 for g1, g0 in splits]

@@ -169,8 +169,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for comp in dec.gamma1:
             tag = f"circulant m'={comp.m_prime}" if comp.recognized else "unclassified"
             lines.append(f"  1-path component ({len(comp.vertices)} vertices): {tag}")
-        if dec.gamma0_vertices:
-            lines.append(f"  0-path union: {len(dec.gamma0_vertices)} vertices")
+        if dec.v0:
+            lines.append(f"  0-path union: {len(dec.v0)} vertices")
         if dec.residue:
             lines.append(f"  off-cycle vertices: {len(dec.residue)}")
         for entry in report.entries:

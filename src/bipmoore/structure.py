@@ -21,9 +21,16 @@ a pair with two common neighbors is labeled from its right pair's common
 count and its four edge counts. The labeled unions and the repeat relation
 are split by one sweep over neighbour bitmasks (``_components``). Each
 component's vertex set is read off its id bitmask, and it is recognized
-from the label's neighbour bitmasks and its own pairs: a theta block by its
-degrees, a circulant ring by a walk along its pairs.
+from the label's neighbour bitmasks: a theta block by its degrees alone, a
+circulant ring by a walk along its own pairs.
 ``tests/oracles.py`` keeps the walk over cycle objects this replaced.
+
+The paper's rules for a defect-4 graph (the theta block's degrees, the
+smallest ring order, the degree-7 size of the 0-path union, the ring orders
+allowed beside a theta block and beside the 0-path union, and the
+divisibility of joined rings) are stated once, in the "Defect-4 rules"
+block below. The recognizers and ``check_observations`` apply them to a
+graph; ``caseanalysis`` imports them to apply to hypothetical sizes.
 
 ``find_isomorphism`` runs each test only when the cheaper ones before it
 cannot decide: order and edge count, then the sizes of the two-step
@@ -217,6 +224,52 @@ def repeat_structure(g: BipartiteGraph, cycles: ShortCycleSet) -> RepeatStructur
 
 
 # ---------------------------------------------------------------------------
+# Defect-4 rules
+# ---------------------------------------------------------------------------
+
+#: Degrees inside a theta block, the component of a defect-4 graph's 2-path
+#: union: a ``K_{2,3}``.
+THETA_DEGREES = (2, 2, 2, 3, 3)
+THETA_ORDER = len(THETA_DEGREES)
+#: The smallest ring order m' of a circulant 1-path component.
+MIN_RING_ORDER = 5
+#: At degree 7 the 0-path union is made of closed repeat blocks of 8
+#: vertices, at least three of them.
+GAMMA0_BLOCK = 8
+GAMMA0_MIN_ORDER = 3 * GAMMA0_BLOCK
+
+
+def gamma0_size_ok(size: int) -> bool:
+    """Whether a degree-7 0-path union may have ``size`` vertices."""
+    return size % GAMMA0_BLOCK == 0 and size >= GAMMA0_MIN_ORDER
+
+
+def ring_orders_beside_theta(d: int) -> range:
+    """The ring orders m' of a 1-path component joined to a theta block:
+    ``3k`` with ``2 <= k <= d - 2``."""
+    return range(3 * 2, 3 * (d - 2) + 1, 3)
+
+
+def ring_orders_beside_gamma0(d: int) -> range:
+    """The ring orders m' of a 1-path component joined to the 0-path union:
+    ``4k`` with ``2 <= k <= d - 4``."""
+    return range(4 * 2, 4 * (d - 4) + 1, 4)
+
+
+def ring_ratio_cap(d: int) -> int:
+    """The largest quotient of the ring orders of two joined 1-path
+    components at degree ``d``."""
+    return d - 3
+
+
+def rings_join(small: int, big: int, ratio_cap: int | None) -> bool:
+    """Whether 1-path components of ring orders ``small <= big`` may be
+    joined by an edge: ``small`` divides ``big``, with quotient at most
+    ``ratio_cap`` unless it is None."""
+    return big % small == 0 and (ratio_cap is None or big // small <= ratio_cap)
+
+
+# ---------------------------------------------------------------------------
 # Decomposition
 # ---------------------------------------------------------------------------
 
@@ -272,10 +325,6 @@ class Decomposition:
     residue: frozenset[Vertex]
     disjoint: bool
 
-    @property
-    def gamma0_vertices(self) -> frozenset[Vertex]:
-        return frozenset(v for part in self.gamma0 for v in part.vertices)
-
     def to_dict(self) -> dict:
         def names(vs) -> list[str]:
             return [vertex_name(v) for v in sorted(vs)]
@@ -307,24 +356,24 @@ class Decomposition:
                 }
                 for comp in self.gamma1
             ],
-            "gamma0": names(self.gamma0_vertices),
+            "gamma0": names(self.v0),
             "residue": names(self.residue),
             "disjoint": self.disjoint,
         }
 
 
 def _recognize_theta(
-    comp: int, nbr: list[int], pairs: list[_Pair], vertex: list[Vertex]
+    comp: int, nbr: list[int], vertex: list[Vertex]
 ) -> tuple[bool, frozenset[Vertex]]:
     """Whether a 2-path component is a theta block, with its branch vertices,
     those of degree at least 3 in the label's union ``nbr``.
 
-    A block has five ids of degrees 2, 2, 2, 3, 3 and closes three cycles.
+    The degrees decide: five ids of degrees ``THETA_DEGREES`` span a
+    ``K_{2,3}``, whose three cycles all carry the label.
     """
     degree = {x: nbr[x].bit_count() for x in bits(comp)}
     branch = frozenset(vertex[x] for x, k in degree.items() if k >= 3)
-    n_cycles = sum(len(js) * (len(js) - 1) // 2 for _, _, js in pairs)
-    return sorted(degree.values()) == [2, 2, 2, 3, 3] and n_cycles == 3, branch
+    return tuple(sorted(degree.values())) == THETA_DEGREES, branch
 
 
 def _recognize_phi(
@@ -332,17 +381,17 @@ def _recognize_phi(
 ) -> tuple[bool, int | None, tuple[Vertex, ...], tuple[Vertex, ...]]:
     """Match a 1-path component, from its pairs, to the circulant pattern.
 
-    In the pattern on ``m >= 5`` left ids ``x_k`` and right vertices ``y_k``,
-    ``nbr[x_k]`` is ``{y_(k-1), y_k, y_(k+1)}``. Its cycles are the ``m``
-    pairs ``x_k, x_(k+1)`` with common neighbors ``y_k, y_(k+1)``: each left
-    id lies on two of them, and neighbouring pairs share one left id and one
-    right vertex. The walk starts at the first pair, steps first to the
+    In the pattern on ``m >= MIN_RING_ORDER`` left ids ``x_k`` and right
+    vertices ``y_k``, ``nbr[x_k]`` is ``{y_(k-1), y_k, y_(k+1)}``. Its cycles
+    are the ``m`` pairs ``x_k, x_(k+1)`` with common neighbors
+    ``y_k, y_(k+1)``: each left id lies on two of them, and neighbouring
+    pairs share one left id and one right vertex. The walk starts at the first pair, steps first to the
     lower-index pair beside it, and reads each step's shared left id and
     right vertex as the next ``x_k`` and ``y_k``; the labeling holds when
     those fill the component and every ``nbr[x_k]`` matches the pattern.
     """
     m = len(pairs)
-    if m < 5 or comp.bit_count() != 2 * m:
+    if m < MIN_RING_ORDER or comp.bit_count() != 2 * m:
         return False, None, (), ()
     on: dict[int, list[int]] = {}
     for k, (a, b, _) in enumerate(pairs):
@@ -398,13 +447,13 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
             on_edge[row_a + j] += extra
             on_edge[row_b + j] += extra
 
-    # Label each pair's cycles, number them, add the pair to its label's
-    # ``members``, and link the pair's left ids to its common right ids in
+    # Label each pair's cycles, number them, keep the 1-path pairs in
+    # ``ring_pairs``, and link the pair's left ids to its common right ids in
     # the label's neighbour list.
     # A third common neighbor of either pair closes a cycle sharing a 2-path;
     # short of that, a cycle sharing an edge shares a 1-path.
     nbrs: tuple[list[int], ...] = ([0] * g.order, [0] * g.order, [0] * g.order)
-    members: tuple[list[_Pair], ...] = ([], [], [])
+    ring_pairs: list[_Pair] = []
     labels: list[str] = []
     s_lists: tuple[list[int], ...] = ([], [], [])
     for pair in pairs:
@@ -417,7 +466,6 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
                 nbr[n_left + j] |= ends
             labels.extend([_LABELS[0]] * (len(js) * (len(js) - 1) // 2))
             s_lists[0].extend(range(k, len(labels)))
-            members[0].append(pair)
         else:
             j1, j2 = js
             row_a, row_b = a * n_right, b * n_right
@@ -437,46 +485,43 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
             nbr[n_left + j2] |= ends
             labels.append(_LABELS[lab])
             s_lists[lab].append(k)
-            members[lab].append(pair)
+            if lab == 1:
+                ring_pairs.append(pair)
         common = (left_rows[a] & left_rows[b]) << n_left
         nbr[a] |= common
         nbr[b] |= common
 
-    # Each label's components, in order of their least (left) id, each with
-    # its pairs: a pair belongs to the component of its vertex ``a``.
+    # Each label's components, in order of their least (left) id. A ring is
+    # recognized from its pairs: a pair belongs to the component of its
+    # vertex ``a``.
     vertex = list(g.vertices())
-    left_ids = (1 << n_left) - 1
-    parts, covered = [], []
-    for nbr, label_pairs in zip(nbrs, members):
-        comps = _components(nbr)
-        if len(comps) == 1:  # one component, as on the degree-11 records
-            comp_pairs = [label_pairs]
-        else:
-            comp_of = [0] * n_left
-            for c, comp in enumerate(comps):
-                for i in bits(comp & left_ids):
-                    comp_of[i] = c
-            comp_pairs = [[] for _ in comps]
-            for pair in label_pairs:
-                comp_pairs[comp_of[pair[0]]].append(pair)
-        parts.append(zip(comps, comp_pairs))
-        covered.append(sum(comps))  # disjoint masks: their sum is their union
+    theta, phi, zero = (_components(nbr) for nbr in nbrs)
+    if len(phi) == 1:  # one component, as on the degree-11 records
+        phi_pairs = [ring_pairs]
+    else:
+        comp_of = [0] * n_left
+        for c, comp in enumerate(phi):
+            for i in bits(comp & ((1 << n_left) - 1)):
+                comp_of[i] = c
+        phi_pairs = [[] for _ in phi]
+        for pair in ring_pairs:
+            phi_pairs[comp_of[pair[0]]].append(pair)
 
     def vertices_of(mask: int) -> frozenset[Vertex]:
         return frozenset(vertex[x] for x in bits(mask))
 
-    theta, phi, zero = parts
     gamma2 = tuple(
-        ThetaComponent(vertices_of(comp), *_recognize_theta(comp, nbrs[0], ps, vertex))
-        for comp, ps in theta
+        ThetaComponent(vertices_of(comp), *_recognize_theta(comp, nbrs[0], vertex))
+        for comp in theta
     )
     gamma1 = tuple(
         PhiComponent(vertices_of(comp), *_recognize_phi(comp, nbrs[1], ps, n_left))
-        for comp, ps in phi
+        for comp, ps in zip(phi, phi_pairs)
     )
-    gamma0 = tuple(Gamma0Part(vertices_of(comp)) for comp, _ in zero)
+    gamma0 = tuple(Gamma0Part(vertices_of(comp)) for comp in zero)
 
-    m2, m1, m0 = covered
+    # Disjoint masks: their sum is their union.
+    covered = m2, m1, m0 = sum(theta), sum(phi), sum(zero)
     v2, v1, v0 = (vertices_of(mask) for mask in covered)
     residue = vertices_of(~(m2 | m1 | m0) & ((1 << g.order) - 1))
     disjoint = not (m2 & m1 or m2 & m0 or m1 & m0)
@@ -567,7 +612,6 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
     edges = [(i, j) for i in range(g.n_left) for j in bits(g.left_rows[i])]
     theta_comp = _index(comp.vertices for comp in dec.gamma2)
     phi_comp = _index(comp.vertices for comp in dec.gamma1)
-    gamma0_vertices = dec.gamma0_vertices
     branch_vertices = frozenset(v for comp in dec.gamma2 for v in comp.branch)
     nonbranch_vertices = frozenset(
         v for comp in dec.gamma2 for v in comp.vertices if v not in comp.branch
@@ -595,16 +639,15 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
                 example.setdefault((min(cu, cv), max(cu, cv)), _edge_name(i, j))
         return sorted(example.items())
 
-    def ring_modularity(near: Container[Vertex], q: int, k_max: int) -> dict | None:
+    def ring_modularity(near: Container[Vertex], allowed: Container[int]) -> dict | None:
         """An edge from ``near`` to a recognized ring whose order m' is not
-        q*k with 2 <= k <= k_max, with that m'."""
+        in ``allowed``, with that m'."""
 
         def bad_order(a: Vertex, b: Vertex) -> int | None:
             if a not in near or b not in phi_comp:
                 return None
             comp = dec.gamma1[phi_comp[b]]
-            mp = comp.m_prime
-            return mp if comp.recognized and (mp % q != 0 or not 2 <= mp // q <= k_max) else None
+            return comp.m_prime if comp.recognized and comp.m_prime not in allowed else None
 
         edge, mp = first_edge(bad_order)
         return {"mPrime": mp, "edge": edge} if edge else None
@@ -636,10 +679,10 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
         verdict("no_edge_gamma2_gamma1", edge)
 
     # no_edge_gamma2_gamma0: non-branch vertex to a 0-path-union vertex
-    if not dec.gamma2 or not gamma0_vertices:
+    if not dec.gamma2 or not dec.v0:
         skip("no_edge_gamma2_gamma0", both)
     else:
-        edge, _ = first_edge(lambda a, b: a in nonbranch_vertices and b in gamma0_vertices)
+        edge, _ = first_edge(lambda a, b: a in nonbranch_vertices and b in dec.v0)
         verdict("no_edge_gamma2_gamma0", edge)
 
     # gamma1_shift_invariance: edges inside a recognized component are closed
@@ -672,7 +715,7 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
                 break
         verdict("gamma1_shift_invariance", witness)
 
-    # gamma1_gamma1_divisibility: joined components have orders m and k*m, k <= d-3
+    # gamma1_gamma1_divisibility: joined components pass ``rings_join``
     if len(recognized_phi) < 2:
         skip("gamma1_gamma1_divisibility", "fewer than two recognized circulant components")
     else:
@@ -680,29 +723,30 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
         rings = _index(comp.vertices if comp.recognized else () for comp in dec.gamma1)
         for (cu, cv), edge in joined(rings):
             small, big = sorted((dec.gamma1[cu].m_prime, dec.gamma1[cv].m_prime))
-            if big % small != 0 or not 1 <= big // small <= d - 3:
+            if not rings_join(small, big, ring_ratio_cap(d)):
                 witness = {"mSmall": small, "mBig": big, "edge": edge}
                 break
         verdict("gamma1_gamma1_divisibility", witness)
 
-    # gamma0_size: |gamma0| = 8k with k >= 3 (degree-7 analysis only)
-    if d != 7 or not gamma0_vertices:
+    # gamma0_size: ``gamma0_size_ok`` (degree-7 analysis only)
+    if d != 7 or not dec.v0:
         skip("gamma0_size", "degree-7 rule" if d != 7 else "0-path union empty")
     else:
-        size = len(gamma0_vertices)
-        verdict("gamma0_size", None if size % 8 == 0 and size // 8 >= 3 else {"size": size})
+        verdict("gamma0_size", None if gamma0_size_ok(len(dec.v0)) else {"size": len(dec.v0)})
 
-    # gamma2_gamma1_modularity: m' = 3k with 2 <= k <= d-2 when joined to a theta
+    # gamma2_gamma1_modularity: a ring joined to a theta has an order in
+    # ``ring_orders_beside_theta``
     if not dec.gamma2 or not recognized_phi:
         skip("gamma2_gamma1_modularity", both)
     else:
-        verdict("gamma2_gamma1_modularity", ring_modularity(theta_comp, 3, d - 2))
+        verdict("gamma2_gamma1_modularity", ring_modularity(theta_comp, ring_orders_beside_theta(d)))
 
-    # gamma0_gamma1_modularity: m' = 4k with 2 <= k <= d-4 when joined to gamma0
-    if not gamma0_vertices or not recognized_phi:
+    # gamma0_gamma1_modularity: a ring joined to gamma0 has an order in
+    # ``ring_orders_beside_gamma0``
+    if not dec.v0 or not recognized_phi:
         skip("gamma0_gamma1_modularity", both)
     else:
-        verdict("gamma0_gamma1_modularity", ring_modularity(gamma0_vertices, 4, d - 4))
+        verdict("gamma0_gamma1_modularity", ring_modularity(dec.v0, ring_orders_beside_gamma0(d)))
 
     # closed_set_divisibility: joined minimal closed repeat sets have dividing
     # sizes, except the branch/non-branch pair of one theta

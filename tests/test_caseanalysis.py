@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from bipmoore.caseanalysis import (
-    build_contraction,
+    contraction_diameter_at_most_2,
     contraction_feasibility,
     enumerate_multisets,
     nonexistence_case_audit,
 )
 from bipmoore.cli import main
+from bipmoore.structure import rings_join
 from oracles import count_multisets_oracle
 
 
@@ -58,19 +59,22 @@ def test_enumeration_infeasible_and_invalid():
 
 
 def test_contraction_edges():
-    assert build_contraction((5, 36)).edges == frozenset()
-    assert build_contraction((8, 12, 21)).edges == frozenset()
-    g = build_contraction((5, 10, 26))
-    assert g.edges == frozenset({(0, 1)})
-    assert not g.diameter_at_most_2()
-    assert build_contraction((5, 5)).edges == frozenset({(0, 1)})  # equal parts: quotient 1
+    assert not rings_join(5, 36, None)
+    assert not any(rings_join(a, b, None) for a, b in ((8, 12), (8, 21), (12, 21)))
+    assert not contraction_diameter_at_most_2((8, 12, 21))
+    assert rings_join(5, 10, None) and not rings_join(5, 26, None) and not rings_join(10, 26, None)
+    assert not contraction_diameter_at_most_2((5, 10, 26))
+    assert not contraction_diameter_at_most_2((26, 10, 5))  # parts in any order
+    assert rings_join(5, 5, 1)  # equal parts: quotient 1
+    assert contraction_diameter_at_most_2((5, 5))
+    # a path 5 - 10 - 20: the ends meet through the middle part
+    assert contraction_diameter_at_most_2((5, 10, 20), ratio_cap=2)
 
 
 def test_contraction_ratio_cap():
-    loose = build_contraction((5, 30), ratio_cap=None)
-    capped = build_contraction((5, 30), ratio_cap=4)
-    assert loose.edges == frozenset({(0, 1)})
-    assert capped.edges == frozenset()
+    assert rings_join(5, 30, None) and contraction_diameter_at_most_2((5, 30), ratio_cap=None)
+    assert not rings_join(5, 30, 4) and not contraction_diameter_at_most_2((5, 30), ratio_cap=4)
+    assert rings_join(5, 20, 4) and not rings_join(5, 25, 4)
 
 
 def test_feasibility_default_instance_empty():

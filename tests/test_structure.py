@@ -567,11 +567,11 @@ def test_observation_divisibility_fails():
 THETA_L01_R012 = [(b, m) for b in (0, 1) for m in (0, 1, 2)]
 
 
-def theta_and_phi5_ring() -> BipartiteGraph:
-    """A theta on L0,L1 / R0-R2, a circulant on 5 on L2-L6 / R3-R7 and the
+def theta_and_ring(m: int = 5) -> BipartiteGraph:
+    """A theta on L0,L1 / R0-R2, a circulant on ``m`` on L2.. / R3.. and the
     branch-to-ring edge L0-R3, at the degree-4 defect-4 order."""
-    phi5 = build_phi(5)
-    edges = THETA_L01_R012 + [(2 + i, 3 + j) for i in range(5) for j in phi5.left_neighbors(i)]
+    ring = build_phi(m)
+    edges = THETA_L01_R012 + [(2 + i, 3 + j) for i in range(m) for j in ring.left_neighbors(i)]
     edges.append((0, 3))
     return BipartiteGraph.from_edges(11, 11, edges)
 
@@ -584,7 +584,7 @@ def theta_and_square() -> BipartiteGraph:
 
 
 def test_observation_theta_joined_to_ring_fails():
-    g = theta_and_phi5_ring()
+    g = theta_and_ring()
     report = check_observations(g, classify_and_decompose(g), 4)
     assert report.applicable
     entries = {e.name: e for e in report.entries}
@@ -603,14 +603,14 @@ def test_observation_theta_joined_to_square_fails():
     assert entry.witness == ["L2", "R0"]
 
 
-def degree7_claim_with_small_gamma0() -> BipartiteGraph:
+def degree7_claim_with_small_gamma0(m: int = 5) -> BipartiteGraph:
     """Order-82 shell claiming degree 7: two isolated squares (an 8-vertex
-    0-path union, below the 24-vertex floor) plus a circulant on 5 touched
-    by a 0-path-union vertex. Trips both degree-7 rules about the 0-path
-    union."""
+    0-path union, below the 24-vertex floor) plus a circulant on ``m``
+    touched by a 0-path-union vertex. With ``m = 5`` it trips both degree-7
+    rules about the 0-path union."""
     edges = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
-    phi5 = build_phi(5)
-    edges += [(4 + i, 4 + j) for i in range(5) for j in phi5.left_neighbors(i)]
+    ring = build_phi(m)
+    edges += [(4 + i, 4 + j) for i in range(m) for j in ring.left_neighbors(i)]
     edges.append((0, 4))  # 0-path union into the circulant
     return BipartiteGraph.from_edges(41, 41, edges)
 
@@ -626,6 +626,26 @@ def test_observation_gamma0_rules_fail_at_degree7():
     modularity = entries["gamma0_gamma1_modularity"]
     assert modularity.status == "fail"
     assert modularity.witness["mPrime"] == 5
+
+
+@pytest.mark.parametrize(
+    "shell, m, d, name",
+    [
+        # m' = 6 = 3k with k = 2 = d - 2: both bounds of the theta rule at d=4
+        (theta_and_ring, 6, 4, "gamma2_gamma1_modularity"),
+        # m' = 8 = 4k with k = 2, the lower bound of the 0-path rule at d=7
+        (degree7_claim_with_small_gamma0, 8, 7, "gamma0_gamma1_modularity"),
+    ],
+)
+def test_observation_ring_modularity_passes(shell, m, d, name):
+    """The pass side of the ring-order rules, whose fail side the tests
+    above pin with a ring on 5."""
+    g = shell(m)
+    dec = classify_and_decompose(g)
+    assert [(comp.recognized, comp.m_prime) for comp in dec.gamma1] == [(True, m)]
+    report = check_observations(g, dec, d)
+    assert report.applicable
+    assert {e.name: e.status for e in report.entries}[name] == "pass"
 
 
 def test_observation_json_round_trip():
