@@ -162,7 +162,6 @@ class SearchCounters:
     """
 
     nodes_visited: int = 0
-    pruned_by_bound: int = 0
     pruned_by_symmetry: int = 0
     solutions_found: int = 0
     budget_stops: int = 0
@@ -172,13 +171,16 @@ class SearchCounters:
 
     def add(self, other: SearchCounters) -> None:
         self.nodes_visited += other.nodes_visited
-        self.pruned_by_bound += other.pruned_by_bound
         self.pruned_by_symmetry += other.pruned_by_symmetry
         self.solutions_found += other.solutions_found
         self.budget_stops += other.budget_stops
         self.pruned_by_filter += other.pruned_by_filter
         self.pruned_by_gains += other.pruned_by_gains
         self.pruned_by_support += other.pruned_by_support
+
+    @property
+    def pruned_by_bound(self) -> int:
+        return self.pruned_by_filter + self.pruned_by_gains + self.pruned_by_support
 
     def to_dict(self) -> dict:
         return {
@@ -399,7 +401,6 @@ def _run_shard(
         exhausted = False
     counters.nodes_visited = nodes
     counters.pruned_by_filter, counters.pruned_by_gains, counters.pruned_by_support = by_filter, by_gains, by_support
-    counters.pruned_by_bound = by_filter + by_gains + by_support
     return counters, solutions, exhausted
 
 

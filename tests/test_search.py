@@ -821,6 +821,20 @@ def test_max_m_budget_inconclusive():
     result = max_m(7, 41, 41, node_budget=1)
     assert result.best_m is None
     assert not result.conclusive
+    # The counters of a budget-stopped scan move with the budget split and
+    # the pruning rules; the max-m output shows none of them.
+    result = max_m(9, 60, 71, node_budget=2000)
+    assert result.best_m is None and not result.conclusive
+    assert list(result.reports) == [71]
+    report = result.reports[71]
+    assert not report.exhausted
+    assert report.counters.to_dict() == {
+        "nodesVisited": 797,
+        "prunedByBound": 644,
+        "prunedBySymmetry": 595,
+        "solutionsFound": 0,
+        "budgetStops": 10,
+    }
 
 
 @pytest.mark.parametrize(
