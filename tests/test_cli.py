@@ -401,6 +401,9 @@ GOLDEN_COMMANDS = {
     "analyze-two-theta": "analyze --in two_theta.adj --d 4",
     "analyze-two-theta-json": "analyze --in two_theta.adj --d 4 --json",
     "iso": "iso --a phi11_4.adj --b phi11_7.adj",
+    "iso-records-json": (
+        "iso --a phi95_4_7_16_27_38_52_62_81.adj --b phi95_4_16_30_43_51_62_71_89.adj --json"
+    ),
     "audit-d6": "audit --d 6",
     "audit-d7": "audit --d 7",
     "audit-d7-budget": "audit --d 7 --budget 10",
@@ -426,6 +429,10 @@ def test_golden_transcript(tmp_path, monkeypatch, capsys, name):
     write_adjacency(build_phi_spec(parse_spec("phi 11: 4")), "phi11_4.adj")
     write_adjacency(build_phi_spec(parse_spec("phi 11: 7")), "phi11_7.adj")
     write_adjacency(two_theta_graph(), "two_theta.adj")
+    for text in RECORDS[:2]:  # named and written as ``verify-known --export`` does
+        spec = parse_spec(text)
+        export = f"phi{spec.m}_" + "_".join(map(str, spec.offsets)) + ".adj"
+        write_adjacency(build_phi_spec(spec), export)
     got = transcript(capsys, GOLDEN_COMMANDS[name])
     assert got == (TRANSCRIPTS / f"{name}.txt").read_text(encoding="utf-8")
 
