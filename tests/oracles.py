@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the library's bitset internals: plain
 dictionaries, deques and quadruple loops only, so agreement is meaningful.
-The two exceptions are earlier algorithms kept as references for their
+The exceptions are earlier algorithms kept as references for their
 replacements: ``bound_only_search_oracle``, the search engine's walk before
-forward checking, which keeps its own residue masks as plain integers, and
+forward checking, which keeps its own residue masks as plain integers;
 ``decomposition_oracle``, the structure layer's walk over 4-cycle objects,
-which reads common-neighbour counts from the graph's bitset rows.
+which reads common-neighbour counts from the graph's bitset rows; and
+``full_round_isomorphism``, the isomorphism search before it refined one
+side at a time, over ``graphs.adjacency`` ids.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import combinations, permutations, product
 
-from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
+from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, adjacency, bits
 from bipmoore.structure import (
     Decomposition,
     FourCycle,
@@ -353,6 +355,87 @@ def isomorphic_oracle(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
                 if all((left[i], right[j]) in edges2 for i, j in edges1):
                     return True
     return False
+
+
+def _full_round_refine(adj1, adj2, colors1, colors2):
+    """Iterated neighbour-multiset refinement of every vertex at once; None
+    when the palettes diverge, and a discrete palette returned at once."""
+    n = len(colors1)
+    while True:
+        keys1 = [(c, tuple(sorted(colors1[u] for u in nbrs))) for c, nbrs in zip(colors1, adj1)]
+        keys2 = [(c, tuple(sorted(colors2[u] for u in nbrs))) for c, nbrs in zip(colors2, adj2)]
+        palette = {key: idx for idx, key in enumerate(sorted(set(keys1)))}
+        if set(keys2) != set(palette):
+            return None
+        new1 = [palette[k] for k in keys1]
+        new2 = [palette[k] for k in keys2]
+        if Counter(new1) != Counter(new2):
+            return None
+        if len(palette) == n or len(palette) == len(set(colors1)):
+            return new1, new2
+        colors1, colors2 = new1, new2
+
+
+def _full_round_match(adj1, adj2, colors1, colors2, cut):
+    """The id map at the first leaf of the depth-first search, or None. The
+    smallest non-singleton colour class, then the lowest colour, is split:
+    its first vertex against each candidate in id order, with ``cut()``
+    asked before each candidate after the first."""
+    refined = _full_round_refine(adj1, adj2, colors1, colors2)
+    if refined is None:
+        return None
+    colors1, colors2 = refined
+    counts = Counter(colors1)
+    split = [c for c, k in counts.items() if k > 1]
+    if not split:
+        position = {c: v for v, c in enumerate(colors2)}
+        mapping = [position[c] for c in colors1]
+        for v in range(len(colors1)):
+            if sorted(mapping[u] for u in adj1[v]) != sorted(adj2[mapping[v]]):
+                return None
+        return mapping
+    target = min(split, key=lambda c: (counts[c], c))
+    fresh = max(max(colors1), max(colors2)) + 1
+    v = colors1.index(target)
+    for k, w in enumerate(u for u in range(len(colors2)) if colors2[u] == target):
+        if k and cut():
+            return None
+        c1, c2 = list(colors1), list(colors2)
+        c1[v] = c2[w] = fresh
+        result = _full_round_match(adj1, adj2, c1, c2, cut)
+        if result is not None:
+            return result
+    return None
+
+
+def full_round_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Vertex] | None:
+    """The map the isomorphism search returned when each refinement round
+    recoloured both sides, or None when the graphs are not isomorphic.
+
+    The sides start as colours 0 and 1, and ``g2`` is tried with its sides
+    kept, then swapped. The search is cut where ``pair_invariant_oracle``
+    tells the graphs apart. There is no two-step gate: it only saves work.
+    """
+    if g1.order != g2.order or g1.edge_count != g2.edge_count:
+        return None
+    differ: list[bool] = []
+
+    def cut() -> bool:
+        if not differ:
+            differ.append(pair_invariant_oracle(g1) != pair_invariant_oracle(g2))
+        return differ[0]
+
+    adj1, adj2 = adjacency(g1), adjacency(g2)
+    colors1 = [0] * g1.n_left + [1] * g1.n_right
+    for k, (left2, right2) in enumerate(((0, 1), (1, 0))):
+        if k and cut():
+            return None
+        colors2 = [left2] * g2.n_left + [right2] * g2.n_right
+        mapping = _full_round_match(adj1, adj2, colors1, colors2, cut)
+        if mapping is not None:
+            vertex2 = list(g2.vertices())
+            return {v: vertex2[w] for v, w in zip(g1.vertices(), mapping)}
+    return None
 
 
 def components_oracle(groups) -> set[frozenset]:

@@ -1,7 +1,8 @@
 """Property tests on generated inputs: the all-sources diameter against
 breadth-first search, residue coverage against the diameter, the two rules
-of ``B - B`` masks the search's child filter rests on, and the pair-keyed
-decomposition and repeat relation against the cycle walk they replaced.
+of ``B - B`` masks the search's child filter rests on, the pair-keyed
+decomposition and repeat relation against the cycle walk they replaced, and
+isomorphism maps against edge-by-edge validation and brute force.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -13,12 +14,19 @@ from hypothesis import strategies as st
 
 from bipmoore.circulant import PhiSpec, build_phi_spec, diameter_at_most_3, difference_mask, pair_masks, shift_mask
 from bipmoore.graphs import BipartiteGraph, diameter
-from bipmoore.structure import check_observations, classify_and_decompose, repeat_structure
+from bipmoore.structure import (
+    check_observations,
+    classify_and_decompose,
+    find_isomorphism,
+    repeat_structure,
+    verify_isomorphism,
+)
 from oracles import (
     components_oracle,
     cycle_walk_oracle,
     decomposition_oracle,
     diameter_oracle,
+    isomorphic_oracle,
     short_cycles_walk,
 )
 
@@ -91,3 +99,34 @@ def test_decomposition_matches_oracle(g):
     repeats = [pair for c in walk for pair in c.repeat_pairs()]
     closed = repeat_structure(g, dec.cycles).minimal_closed_sets
     assert closed == tuple(sorted(components_oracle(repeats), key=min))
+
+
+@st.composite
+def graph_pairs(draw) -> tuple[BipartiteGraph, BipartiteGraph, bool]:
+    """A graph, a relabelling of it with its sides kept or swapped, and
+    whether one edge of the relabelling was then moved to a non-edge."""
+    g = draw(bipartite_graphs())
+    left = draw(st.permutations(range(g.n_left)))
+    right = draw(st.permutations(range(g.n_right)))
+    edges = [(left[i], right[j]) for i in range(g.n_left) for j in g.left_neighbors(i)]
+    gaps = sorted({(i, j) for i in range(g.n_left) for j in range(g.n_right)} - set(edges))
+    moved = bool(edges and gaps) and draw(st.booleans())
+    if moved:
+        edges.remove(draw(st.sampled_from(edges)))
+        edges.append(draw(st.sampled_from(gaps)))
+    h = BipartiteGraph.from_edges(g.n_left, g.n_right, edges)
+    return g, h.transpose() if draw(st.booleans()) else h, moved
+
+
+@FIXED
+@given(graph_pairs())
+def test_isomorphism_maps_verify_and_match_brute_force(case):
+    """Every map passes the edge-by-edge check, a relabelling is always
+    matched, and up to 4 + 4 the verdict is brute force's."""
+    g, h, moved = case
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None or moved
+    if mapping is not None:
+        assert verify_isomorphism(g, h, mapping)
+    if g.n_left <= 4 and g.n_right <= 4:
+        assert (mapping is not None) == isomorphic_oracle(g, h)

@@ -30,6 +30,7 @@ from oracles import (
     cycle_walk_oracle,
     decomposition_oracle,
     four_cycles_oracle,
+    full_round_isomorphism,
     isomorphic_oracle,
     pair_invariant_oracle,
     pairwise_labels_oracle,
@@ -784,15 +785,86 @@ def test_find_isomorphism_matches_brute_force_oracle():
 
 
 def test_relabelled_record_skips_pair_invariant(monkeypatch):
-    """The first branch of the search succeeds on a relabelled record, so
-    the pair invariant is never computed."""
+    """The first branch of the search succeeds on a relabelled record, with
+    its sides kept or swapped: two refinements, one at the root and one after
+    a single individualization, and the pair invariant is never computed."""
     record = build_phi_spec(parse_spec(KNOWN_DEGREE11_SPECS[0]))
     rng = random.Random(23)
     pair_calls = counted(monkeypatch, "_pair_invariant")
+    refine_calls = counted(monkeypatch, "_refine")
     for other in (relabelled(record, rng), relabelled(record, rng).transpose()):
+        refine_calls.clear()
         mapping = find_isomorphism(record, other)
         assert mapping is not None and verify_isomorphism(record, other, mapping)
+        assert len(refine_calls) == 2
     assert pair_calls == []
+
+
+def test_unequal_sides_match_transpose_from_swapped_start(monkeypatch):
+    """A 3 + 5 graph matches its transpose only from the side-swapped start,
+    which the pair invariant, computed once per graph, lets the search try.
+    A relabelling with the sides kept matches on the first branch."""
+    g = BipartiteGraph.from_neighbor_lists([[0, 1, 2], [2, 3], [0, 3, 4]], 5)
+    pair_calls = counted(monkeypatch, "_pair_invariant")
+    mapping = find_isomorphism(g, g.transpose())
+    assert mapping is not None and verify_isomorphism(g, g.transpose(), mapping)
+    assert all(v[0] != w[0] for v, w in mapping.items())
+    assert [args[0] for args in pair_calls] == [g, g.transpose()]
+    pair_calls.clear()
+    other = relabelled(g, random.Random(35))
+    mapping = find_isomorphism(g, other)
+    assert mapping is not None and verify_isomorphism(g, other, mapping)
+    assert all(v[0] == w[0] for v, w in mapping.items())
+    assert pair_calls == []
+
+
+def certify_inputs(rng: random.Random) -> list[BipartiteGraph]:
+    """The three degree-11 records, a relabelling of each with its sides
+    kept and one with them swapped, and seven one-offset perturbations."""
+    specs = [parse_spec(text) for text in KNOWN_DEGREE11_SPECS]
+    records = [build_phi_spec(spec) for spec in specs]
+    graphs = records + [
+        h for g in records for h in (relabelled(g, rng), relabelled(g, rng).transpose())
+    ]
+    while len(graphs) < 16:
+        spec = rng.choice(specs)
+        value = rng.randrange(2, spec.m - 1)
+        if value not in spec.offsets:
+            offsets = list(spec.offsets)
+            offsets[rng.randrange(len(offsets))] = value
+            graphs.append(build_phi_spec(PhiSpec(spec.m, tuple(sorted(offsets)))))
+    return graphs
+
+
+def test_find_isomorphism_returns_full_round_map_on_certify_inputs():
+    """Record 1 against each certify input: the map of the search that
+    refined both sides each round, or None on every perturbation."""
+    graphs = certify_inputs(random.Random(20261021))
+    verdicts = Counter()
+    for g in graphs:
+        mapping = find_isomorphism(graphs[0], g)
+        assert mapping == full_round_isomorphism(graphs[0], g)
+        verdicts[mapping is not None] += 1
+    assert verdicts == {True: 9, False: 7}
+
+
+def test_find_isomorphism_returns_full_round_map_on_random_pairs():
+    """Seeded pairs with 1-9 vertices a side: relabelled, half of them
+    transposed, 30% with one edge moved. Each call returns the full-round
+    search's map, or None with it."""
+    rng = random.Random(20261021)
+    verdicts = Counter()
+    for _ in range(600):
+        g = random_bipartite(rng, rng.randint(1, 9), rng.randint(1, 9), rng.choice((0.2, 0.35, 0.5, 0.65)))
+        h = relabelled(g, rng)
+        if rng.random() < 0.5:
+            h = h.transpose()
+        if rng.random() < 0.3:
+            h = moved_edge(h, rng)
+        mapping = find_isomorphism(g, h)
+        assert mapping == full_round_isomorphism(g, h), (g, h)
+        verdicts[mapping is not None] += 1
+    assert min(verdicts.values()) >= 100
 
 
 def test_perturbed_record_rejected_by_two_step_gate(monkeypatch):
