@@ -32,29 +32,26 @@ divisibility of joined rings) are stated once, in the "Defect-4 rules"
 block below. The recognizers and ``check_observations`` apply them to a
 graph; ``caseanalysis`` imports them to apply to hypothetical sizes.
 
-``find_isomorphism`` runs each test only when the cheaper ones before it
-cannot decide: order and edge count, then the sizes of the two-step
-neighbourhoods (``_two_step_invariant``), then individualization-refinement
-search. The common-neighbour histogram (``_pair_invariant``) is computed only
-when the search is about to leave its first branch, and ends the search when
-the two graphs' histograms differ.
+``find_isomorphism`` refines one side per half-round: a side's new colours
+depend only on the other side's, so recolouring both at once, as the
+full-round search kept in ``tests/oracles.py`` does, repeats work.
 
-Integer vertex ids here are those of ``graphs.adjacency``: a vertex's
-position in ``g.vertices()``, left ``i`` and right ``n_left + j``. Ids and
-vertices are converted only through that list.
+The decomposition's integer vertex ids are those of ``graphs.adjacency``:
+a vertex's position in ``g.vertices()``, left ``i`` and right ``n_left + j``.
+Ids and vertices are converted only through that list.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Container, Iterable
+from collections.abc import Callable, Container, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
 from .bounds import moore_bound
 from .circulant import FIXED_SHIFTS
-from .graphs import LEFT, RIGHT, BipartiteGraph, Vertex, adjacency, bits
+from .graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
 
 
 class BudgetError(RuntimeError):
@@ -165,6 +162,13 @@ def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
     return ShortCycleSet(pairs=tuple(pairs))
 
 
+def _union(indices: Iterable[int], rows: Sequence[int]) -> int:
+    out = 0
+    for i in indices:
+        out |= rows[i]
+    return out
+
+
 def _components(nbr: list[int]) -> list[int]:
     """The components of the graph with neighbour bitmask ``nbr[x]`` for each
     id ``x``, as id bitmasks in order of their least id; an id with no
@@ -175,10 +179,7 @@ def _components(nbr: list[int]) -> list[int]:
         if row and not seen >> x & 1:
             comp = frontier = 1 << x
             while frontier:
-                reach = 0
-                for y in bits(frontier):
-                    reach |= nbr[y]
-                frontier = reach & ~comp
+                frontier = _union(bits(frontier), nbr) & ~comp
                 comp |= frontier
             seen |= comp
             comps.append(comp)
@@ -773,71 +774,81 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
 # ---------------------------------------------------------------------------
 
 
-def _refine(
-    adj1: list[list[int]], adj2: list[list[int]], colors1: list[int], colors2: list[int]
-) -> tuple[list[int], list[int]] | None:
-    """Iterated neighbor-multiset refinement; None when the palettes diverge.
+Sides = tuple[list[list[int]], list[list[int]]]
 
-    A discrete palette is returned at once: it cannot split further, and a
-    mismatch it hides is left to ``_match``'s edge check.
+
+def _sides(g: BipartiteGraph) -> Sides:
+    """Each left vertex's right neighbours, then each right vertex's left ones."""
+    left = [list(bits(row)) for row in g.left_rows]
+    right: list[list[int]] = [[] for _ in range(g.n_right)]
+    for i, nbrs in enumerate(left):
+        for j in nbrs:
+            right[j].append(i)
+    return left, right
+
+
+def _refine(
+    sides1: Sides, sides2: Sides, colors1: list[list[int]], colors2: list[list[int]], side: int
+) -> tuple[list[list[int]], list[list[int]]] | None:
+    """Refine both graphs in lockstep, one side a half-round, ``side`` first:
+    each vertex by its colour and its neighbours' sorted colours. Stop after
+    two half-rounds in a row that split nothing, or once the colouring is
+    discrete, leaving a mismatch it hides to ``_match``. None on divergence.
     """
-    n = len(colors1)
-    while True:
-        keys1 = [
-            (c, tuple(sorted(map(colors1.__getitem__, nbrs)))) for c, nbrs in zip(colors1, adj1)
-        ]
-        keys2 = [
-            (c, tuple(sorted(map(colors2.__getitem__, nbrs)))) for c, nbrs in zip(colors2, adj2)
-        ]
-        palette = {key: idx for idx, key in enumerate(sorted(set(keys1)))}
-        if set(keys2) != set(palette):
+    colors1, colors2 = list(colors1), list(colors2)
+    cells = [len(set(own)) for own in colors1]
+    quiet = 0
+    while quiet < 2:
+        keys1, keys2 = (
+            [(c, tuple(sorted(map(colors[1 - side].__getitem__, nbrs)))) for c, nbrs in zip(colors[side], sides[side])]
+            for colors, sides in ((colors1, sides1), (colors2, sides2))
+        )
+        count = Counter(keys1)
+        if count.items() != Counter(keys2).items():  # compared in C, unlike Counter's ==
             return None
-        new1 = [palette[k] for k in keys1]
-        new2 = [palette[k] for k in keys2]
-        if Counter(new1) != Counter(new2):
-            return None
-        if len(palette) == n or len(palette) == len(set(colors1)):
-            return new1, new2
-        colors1, colors2 = new1, new2
+        palette = {key: idx for idx, key in enumerate(sorted(count))}
+        colors1[side] = [palette[k] for k in keys1]
+        colors2[side] = [palette[k] for k in keys2]
+        quiet = quiet + 1 if len(palette) == cells[side] else 0
+        cells[side] = len(palette)
+        if cells == [len(own) for own in colors1]:
+            break
+        side = 1 - side
+    return colors1, colors2
 
 
 def _match(
-    adj1: list[list[int]],
-    adj2: list[list[int]],
-    colors1: list[int],
-    colors2: list[int],
-    cut: Callable[[], bool],
-) -> list[int] | None:
-    """The id map at the first leaf of the depth-first search, or None.
-
-    ``cut()`` is asked before each candidate after the first, at any depth,
-    and the search ends with None when it is true.
-    """
-    refined = _refine(adj1, adj2, colors1, colors2)
+    sides1: Sides, sides2: Sides, rows2: tuple[int, ...],
+    colors1: list[list[int]], colors2: list[list[int]], side: int, cut: Callable[[], bool],
+) -> tuple[list[int], list[int]] | None:
+    """The left and right index maps at the first leaf of the depth-first
+    search, or None. ``rows2`` are ``g2``'s left rows as ``sides2`` orients
+    it. ``cut()`` is asked before each candidate after the first, at any
+    depth, and ends the search when true."""
+    refined = _refine(sides1, sides2, colors1, colors2, side)
     if refined is None:
         return None
     colors1, colors2 = refined
-    counts = Counter(colors1)
-    split = [c for c, k in counts.items() if k > 1]
+    split = [(k, s, c) for s in (0, 1) for c, k in Counter(colors1[s]).items() if k > 1]
     if not split:
-        position = {c: v for v, c in enumerate(colors2)}
-        mapping = [position[c] for c in colors1]
-        n = len(colors1)
-        for v in range(n):
-            if sorted(mapping[u] for u in adj1[v]) != sorted(adj2[mapping[v]]):
-                return None
-        return mapping
-    target = min(split, key=lambda c: (counts[c], c))
-    fresh = max(max(colors1), max(colors2)) + 1
-    v = next(u for u in range(len(colors1)) if colors1[u] == target)
-    for k, w in enumerate(u for u in range(len(colors2)) if colors2[u] == target):
+        position = [{c: w for w, c in enumerate(own)} for own in colors2]
+        left, right = ([at[c] for c in own] for at, own in zip(position, colors1))
+        right_bits = [1 << w for w in right]
+        if any(_union(nbrs, right_bits) != rows2[w] for nbrs, w in zip(sides1[0], left)):
+            return None
+        return left, right
+    _, side, target = min(split)
+    own1, own2 = colors1[side], colors2[side]
+    fresh = max(own1) + 1
+    v = own1.index(target)
+    marked1 = list(colors1)
+    marked1[side] = own1[:v] + [fresh] + own1[v + 1:]
+    for k, w in enumerate(u for u, c in enumerate(own2) if c == target):
         if k and cut():
             return None
-        c1 = list(colors1)
-        c2 = list(colors2)
-        c1[v] = fresh
-        c2[w] = fresh
-        result = _match(adj1, adj2, c1, c2, cut)
+        marked2 = list(colors2)
+        marked2[side] = own2[:w] + [fresh] + own2[w + 1:]
+        result = _match(sides1, sides2, rows2, marked1, marked2, 1 - side, cut)
         if result is not None:
             return result
     return None
@@ -853,21 +864,16 @@ def _pair_invariant(g: BipartiteGraph) -> tuple:
     return tuple(sorted((side_hist(g.left_rows), side_hist(g.right_rows))))
 
 
-def _two_step_invariant(g: BipartiteGraph) -> tuple:
+def _two_step_invariant(g: BipartiteGraph, sides: Sides | None = None) -> tuple:
     """Sound isomorphism invariant: per-side sorted sizes of the two-step
-    neighbourhoods ``N(N(v))``, one OR per edge, as an unordered side pair."""
-    def side_sizes(rows: tuple[int, ...], across: tuple[int, ...]) -> tuple[int, ...]:
-        sizes = []
-        for row in rows:
-            reach = 0
-            for j in bits(row):
-                reach |= across[j]
-            sizes.append(reach.bit_count())
-        return tuple(sorted(sizes))
-
-    left = side_sizes(g.left_rows, g.right_rows)
-    right = side_sizes(g.right_rows, g.left_rows)
-    return tuple(sorted((left, right)))
+    neighbourhoods ``N(N(v))``, one OR per edge over ``sides`` (by default
+    ``g``'s), as an unordered side pair."""
+    left, right = sides or _sides(g)
+    sizes = (
+        tuple(sorted(_union(nbrs, across).bit_count() for nbrs in lists))
+        for lists, across in ((left, g.right_rows), (right, g.left_rows))
+    )
+    return tuple(sorted(sizes))
 
 
 #: Largest vertex count ``find_isomorphism`` accepts.
@@ -882,38 +888,34 @@ def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
     1. order and edge count;
     2. ``_two_step_invariant``, a gate that rejects most non-isomorphic
        pairs with no search;
-    3. iterated color refinement with individualization backtracking over
-       ``graphs.adjacency`` ids. The sides start as two colors, and ``g2``
-       is tried with its sides kept, then swapped, so side-swapped matches
-       are found; the first refinement round compares the side sizes and
-       degrees. The first branch of the search is tried at once. Just
-       before the search leaves it (a second candidate at any depth, or the
-       side-swapped start), ``_pair_invariant`` of both graphs is computed,
-       once per call, and the search ends with None when they differ.
+    3. individualization-refinement over the ``_sides`` lists, built once
+       per call. Vertices start coloured by degree, and ``g2`` is tried with
+       its sides kept, then swapped (its lists swapped). Just before the
+       search leaves its first branch (a second candidate at any depth, or
+       the swapped start), ``_pair_invariant`` of both graphs is computed,
+       once per call, and ends the search when they differ.
 
-    The search order is fixed, so the map returned is the first leaf of the
-    depth-first search. A non-isomorphic pair that ties on the two-step
-    invariant pays one first-branch descent before the pair invariant
-    rejects it. Instances above ``MAX_ISO_ORDER`` vertices are refused.
+    The smallest non-singleton cell is split, ties going to the left side,
+    then the lower colour: its first vertex against each candidate in index
+    order. So the map is the first leaf of a fixed depth-first search.
+    Instances above ``MAX_ISO_ORDER`` vertices are refused.
     """
     if g1.order > MAX_ISO_ORDER or g2.order > MAX_ISO_ORDER:
         raise BudgetError(f"isomorphism capped at {MAX_ISO_ORDER} vertices")
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return None
-    if _two_step_invariant(g1) != _two_step_invariant(g2):
+    sides1, sides2 = _sides(g1), _sides(g2)
+    if _two_step_invariant(g1, sides1) != _two_step_invariant(g2, sides2):
         return None
     cut = cache(lambda: _pair_invariant(g1) != _pair_invariant(g2))
-    adj1, adj2 = adjacency(g1), adjacency(g2)
-    colors1 = [0] * g1.n_left + [1] * g1.n_right
-    for k, (left2, right2) in enumerate(((0, 1), (1, 0))):
+    start1, start2 = ([[len(nbrs) for nbrs in lists] for lists in sides] for sides in (sides1, sides2))
+    for k, (frame, rows2) in enumerate(((sides2, g2.left_rows), (sides2[::-1], g2.right_rows))):
         if k and cut():
             return None
-        mapping = _match(
-            adj1, adj2, colors1, [left2] * g2.n_left + [right2] * g2.n_right, cut
-        )
-        if mapping is not None:
-            vertex2 = list(g2.vertices())
-            return {v: vertex2[w] for v, w in zip(g1.vertices(), mapping)}
+        maps = _match(sides1, frame, rows2, start1, start2[::-1] if k else start2, 0, cut)
+        if maps is not None:
+            named = zip((LEFT, RIGHT), (RIGHT, LEFT) if k else (LEFT, RIGHT), maps)
+            return {(side, i): (name, w) for side, name, ws in named for i, w in enumerate(ws)}
     return None
 
 
