@@ -11,7 +11,7 @@ it yields each layer from a source as a bitmask, with the layer before it.
 
 A vertex's integer id is its position in ``vertices()``: left ``i`` is ``i``
 and right ``j`` is ``n_left + j``. ``adjacency`` lists neighbours by id for
-``diameter`` and ``structure``. ``diameter`` needs no source: it runs one
+``diameter``, which needs no source: it runs one
 all-sources sweep in which every vertex holds the set of ids within
 distance ``t`` as one integer, and each sweep ORs in the
 neighbours' sets. A graph of diameter ``D`` with ``E`` edges costs
@@ -371,6 +371,11 @@ def check_graph(g: BipartiteGraph) -> GraphCheck:
 # "x<i>: <j_0> <j_1> ..." with strictly increasing 0-based right indices,
 # single-space separated, no trailing space.
 
+#: Most vertices a side the file parsers accept, checked before any build.
+#: Each side's rows are bitmasks as wide as the other side, so a short file
+#: can name a graph of up to ``n_left * n_right`` bits; the cap bounds it.
+MAX_SIDE = 1 << 14
+
 
 def format_adjacency(g: BipartiteGraph) -> str:
     lines = [f"{g.n_left} {g.n_right}"]
@@ -396,8 +401,8 @@ def parse_adjacency(text: str) -> BipartiteGraph:
         n_left, n_right = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ValueError("header must hold two integers") from exc
-    if n_left < 0 or n_right < 0:
-        raise ValueError("vertex counts must be nonnegative")
+    if not (0 <= n_left <= MAX_SIDE and 0 <= n_right <= MAX_SIDE):
+        raise ValueError(f"vertex counts must lie in 0..{MAX_SIDE}")
     if len(lines) != n_left + 1:
         raise ValueError(f"expected {n_left} adjacency lines, found {len(lines) - 1}")
     rows: list[list[int]] = []
@@ -455,4 +460,6 @@ def parse_edge_list(text: str) -> BipartiteGraph:
         raise ValueError("edge list holds no edges; cannot infer vertex counts")
     n_left = 1 + max(i for i, _ in edges)
     n_right = 1 + max(j for _, j in edges)
+    if max(n_left, n_right) > MAX_SIDE:
+        raise ValueError(f"vertex counts must lie in 0..{MAX_SIDE}")
     return BipartiteGraph.from_edges(n_left, n_right, edges)

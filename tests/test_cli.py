@@ -372,6 +372,18 @@ def test_bad_workers_is_usage_error(capsys, value):
         assert "--workers" in capsys.readouterr().err
 
 
+def test_oversized_graph_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    """A 14-byte file naming 2**14 + 1 right vertices exits 2 before any
+    graph is built. ``check`` and ``analyze`` read files the same way; they
+    are not run here, as a missing cap would set them to work on the whole
+    graph, while ``iso`` then stops at its own order cap."""
+    monkeypatch.chdir(tmp_path)
+    Path("big.adj").write_text(f"1 {2**14 + 1}\nx0: 0\n", encoding="ascii")
+    code, out, err = run(capsys, "iso", "--a", "big.adj", "--b", "big.adj")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: big.adj: not an adjacency list (vertex counts must lie in 0..16384)")
+
+
 def test_bad_spec_is_usage_error(capsys):
     code, _, err = run(capsys, "build", "--spec", "phi 4: 2")
     assert code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from bipmoore.circulant import PhiSpec, build_phi, build_phi_spec, build_theta, 
 from bipmoore.graphs import (
     INF,
     LEFT,
+    MAX_SIDE,
     BipartiteGraph,
     bfs_distances,
     diameter,
@@ -234,6 +236,28 @@ def test_edge_list_import():
 def test_edge_list_rejects(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_adjacency, f"1 {MAX_SIDE + 1}\nx0: 0\n"),
+        (parse_edge_list, f"0 {MAX_SIDE}\n"),
+        (parse_adjacency, f"2 {MAX_SIDE + 1}\nx0: {MAX_SIDE}\nx1: {MAX_SIDE}\n"),
+    ],
+)
+def test_parsers_refuse_sides_above_the_cap(parse, text):
+    """A file naming more than ``MAX_SIDE`` vertices on a side is refused
+    before a graph is built, so the parser allocates only what it reads."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as caught:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == f"vertex counts must lie in 0..{MAX_SIDE}"
+    assert peak < 64 * len(text) + 4096
 
 
 def test_graph_immutability_and_transpose():
