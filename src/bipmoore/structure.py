@@ -800,7 +800,8 @@ def _refine(
     quiet = 0
     while quiet < 2:
         keys1, keys2 = (
-            [(c, tuple(sorted(map(colors[1 - side].__getitem__, nbrs)))) for c, nbrs in zip(colors[side], sides[side])]
+            [(c, tuple(sorted(map(colors[1 - side].__getitem__, nbrs))))
+             for c, nbrs in zip(colors[side], sides[side])]
             for colors, sides in ((colors1, sides1), (colors2, sides2))
         )
         count = Counter(keys1)
@@ -834,9 +835,8 @@ def _match(
         position = [{c: w for w, c in enumerate(own)} for own in colors2]
         left, right = ([at[c] for c in own] for at, own in zip(position, colors1))
         right_bits = [1 << w for w in right]
-        if any(_union(nbrs, right_bits) != rows2[w] for nbrs, w in zip(sides1[0], left)):
-            return None
-        return left, right
+        matched = all(_union(nbrs, right_bits) == rows2[w] for nbrs, w in zip(sides1[0], left))
+        return (left, right) if matched else None
     _, side, target = min(split)
     own1, own2 = colors1[side], colors2[side]
     fresh = max(own1) + 1
@@ -848,6 +848,7 @@ def _match(
             return None
         marked2 = list(colors2)
         marked2[side] = own2[:w] + [fresh] + own2[w + 1:]
+        # Only ``v`` moved on its side, so the other side is recoloured first.
         result = _match(sides1, sides2, rows2, marked1, marked2, 1 - side, cut)
         if result is not None:
             return result

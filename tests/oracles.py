@@ -14,6 +14,7 @@ side at a time, over ``graphs.adjacency`` ids.
 from __future__ import annotations
 
 from collections import Counter, deque
+from functools import cache
 from itertools import combinations, permutations, product
 
 from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, adjacency, bits
@@ -418,13 +419,7 @@ def full_round_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Verte
     """
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return None
-    differ: list[bool] = []
-
-    def cut() -> bool:
-        if not differ:
-            differ.append(pair_invariant_oracle(g1) != pair_invariant_oracle(g2))
-        return differ[0]
-
+    cut = cache(lambda: pair_invariant_oracle(g1) != pair_invariant_oracle(g2))
     adj1, adj2 = adjacency(g1), adjacency(g2)
     colors1 = [0] * g1.n_left + [1] * g1.n_right
     for k, (left2, right2) in enumerate(((0, 1), (1, 0))):
