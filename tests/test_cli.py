@@ -408,6 +408,8 @@ GOLDEN_COMMANDS = {
     "build-json": 'build --spec "phi 11: 4" --json',
     "build-out": 'build --spec "phi 11: 4" --out out.adj',
     "build-out-json": 'build --spec "phi 11: 4" --out out.adj --json',
+    "check-spec-json": 'check --spec "phi 95: 5,7,16,27,38,52,62,81" --json',
+    "check-disconnected": "check --in two_squares.adj --expect-diameter 3",
     "analyze": "analyze --in phi11_4.adj --d 4",
     "analyze-json": "analyze --in phi11_4.adj --d 4 --json",
     "analyze-two-theta": "analyze --in two_theta.adj --d 4",
@@ -441,6 +443,8 @@ def test_golden_transcript(tmp_path, monkeypatch, capsys, name):
     write_adjacency(build_phi_spec(parse_spec("phi 11: 4")), "phi11_4.adj")
     write_adjacency(build_phi_spec(parse_spec("phi 11: 7")), "phi11_7.adj")
     write_adjacency(two_theta_graph(), "two_theta.adj")
+    two_squares = BipartiteGraph.from_neighbor_lists([[0, 1], [0, 1], [2, 3], [2, 3]], 4)
+    write_adjacency(two_squares, "two_squares.adj")
     for text in RECORDS[:2]:  # named and written as ``verify-known --export`` does
         spec = parse_spec(text)
         export = f"phi{spec.m}_" + "_".join(map(str, spec.offsets)) + ".adj"
