@@ -28,11 +28,9 @@ from .graphs import (
     LEFT,
     RIGHT,
     BipartiteGraph,
-    DistanceProfile,
     GraphCheck,
     RegularityVerdict,
     Vertex,
-    bfs_distances,
     check_graph,
     diameter,
     format_adjacency,

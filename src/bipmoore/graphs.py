@@ -6,16 +6,20 @@ one integer bitmask per left vertex (bit ``j`` set when ``(L, i) ~ (R, j)``)
 together with the materialized transpose, so neighborhood unions, BFS
 frontiers and common-neighbor counts are single integer operations.
 
-One breadth-first walk, ``_layers``, serves ``bfs_distances`` and ``girth``:
-it yields each layer from a source as a bitmask, with the layer before it.
-
 A vertex's integer id is its position in ``vertices()``: left ``i`` is ``i``
-and right ``j`` is ``n_left + j``. ``adjacency`` lists neighbours by id for
-``diameter``, which needs no source: it runs one
-all-sources sweep in which every vertex holds the set of ids within
-distance ``t`` as one integer, and each sweep ORs in the
-neighbours' sets. A graph of diameter ``D`` with ``E`` edges costs
-``(D + 1) * 2E`` integer ORs, about 8,400 for a 190-vertex 11-regular graph.
+and right ``j`` is ``n_left + j``. Every id bitmask in the package, here and
+in ``structure``, uses these ids.
+
+This module owns the two primitives the graph and structure layers share:
+``sides`` lists each vertex's neighbours by index on the other side, and
+``union`` ORs the rows picked by a list of indices. ``girth`` walks
+breadth-first layers from each source (``_layers``), each layer the
+``union`` of the last one's rows. ``diameter`` needs no source: it runs
+one all-sources sweep in which every vertex holds the set of ids within
+distance ``t`` as one integer, and each sweep widens the sets of one side
+to the ``union`` of its ``sides`` neighbours' sets on the other. A graph
+of diameter ``D`` with ``E`` edges costs ``(D + 1) * 2E`` integer ORs,
+about 8,400 for a 190-vertex 11-regular graph.
 
 Graphs are immutable after construction and safe to share across workers.
 """
@@ -46,13 +50,12 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _transpose(rows: Sequence[int], n_out: int) -> tuple[int, ...]:
-    out = [0] * n_out
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for j in bits(row):
-            out[j] |= bit
-    return tuple(out)
+def union(indices: Iterable[int], rows: Sequence[int]) -> int:
+    """The OR of ``rows[i]`` over ``indices``."""
+    out = 0
+    for i in indices:
+        out |= rows[i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,18 +79,21 @@ class BipartiteGraph:
         if n_right < 0:
             raise ValueError("n_right must be nonnegative")
         rows = []
+        right = [0] * n_right
         for i, neighbors in enumerate(neighbor_lists):
             mask = 0
             count = 0
+            bit = 1 << i
             for j in neighbors:
                 if not 0 <= j < n_right:
                     raise ValueError(f"neighbor {j} of left vertex {i} out of range")
                 mask |= 1 << j
+                right[j] |= bit
                 count += 1
             if mask.bit_count() != count:
                 raise ValueError(f"duplicate edge at left vertex {i}")
             rows.append(mask)
-        return cls(len(rows), n_right, tuple(rows), _transpose(rows, n_right))
+        return cls(len(rows), n_right, tuple(rows), tuple(right))
 
     @classmethod
     def from_edges(
@@ -150,23 +156,18 @@ class BipartiteGraph:
         raise ValueError(f"invalid vertex {v!r} for a {self.n_left}x{self.n_right} graph")
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Shortest-path hop counts from one source vertex.
+Sides = tuple[list[list[int]], list[list[int]]]
 
-    ``reachable_at_exactly_2`` holds the indices, on the source's own side,
-    of vertices at distance exactly two.
-    """
 
-    source: Vertex
-    left_distances: tuple[float, ...]
-    right_distances: tuple[float, ...]
-    eccentricity: float
-    reachable_at_exactly_2: frozenset[int]
-
-    def distance(self, v: Vertex) -> float:
-        side, idx = v
-        return self.left_distances[idx] if side == LEFT else self.right_distances[idx]
+def sides(g: BipartiteGraph) -> Sides:
+    """Each left vertex's right neighbours, then each right vertex's left
+    ones, by index on the other side in ascending order."""
+    left = [list(bits(row)) for row in g.left_rows]
+    right: list[list[int]] = [[] for _ in range(g.n_right)]
+    for i, nbrs in enumerate(left):
+        for j in nbrs:
+            right[j].append(i)
+    return left, right
 
 
 def _layers(g: BipartiteGraph, source: Vertex) -> Iterator[tuple[int, bool, int, int]]:
@@ -180,67 +181,36 @@ def _layers(g: BipartiteGraph, source: Vertex) -> Iterator[tuple[int, bool, int,
     level, on_left, layer, prev = 0, side == LEFT, 1 << idx, 0
     while layer:
         yield level, on_left, layer, prev
-        rows = g.left_rows if on_left else g.right_rows
-        reached = 0
-        for k in bits(layer):
-            reached |= rows[k]
+        reached = union(bits(layer), g.left_rows if on_left else g.right_rows)
         level, on_left, layer, prev = level + 1, not on_left, reached & ~prev, layer
-
-
-def bfs_distances(g: BipartiteGraph, source: Vertex) -> DistanceProfile:
-    """Breadth-first distances from ``source``; unreachable vertices get ``INF``."""
-    side, _ = g._check_vertex(source)
-    left_dist = [INF] * g.n_left
-    right_dist = [INF] * g.n_right
-    for level, on_left, layer, _ in _layers(g, source):
-        dist = left_dist if on_left else right_dist
-        for k in bits(layer):
-            dist[k] = level
-    ecc = max(x for x in left_dist + right_dist if x != INF)
-    same_side = left_dist if side == LEFT else right_dist
-    at_two = frozenset(k for k, x in enumerate(same_side) if x == 2)
-    return DistanceProfile(
-        source=source,
-        left_distances=tuple(left_dist),
-        right_distances=tuple(right_dist),
-        eccentricity=ecc,
-        reachable_at_exactly_2=at_two,
-    )
-
-
-def adjacency(g: BipartiteGraph) -> list[list[int]]:
-    """Neighbours by integer id, a vertex's position in ``g.vertices()``."""
-    left = [[g.n_left + j for j in bits(row)] for row in g.left_rows]
-    return left + [list(bits(row)) for row in g.right_rows]
 
 
 def diameter(g: BipartiteGraph) -> float:
     """Largest eccentricity; ``INF`` for disconnected graphs.
 
-    One sweep for all sources at once: ``reach[v]`` is the set of vertex ids
-    (see ``adjacency``) within distance ``t`` of ``v``, one bit per id, and a
-    sweep widens every set to the union of its neighbours' sets. The
-    diameter is the first ``t`` at which every set is full; a sweep that
-    changes nothing before then means the graph is disconnected. Cost:
-    ``(D + 1) * 2E`` integer ORs for diameter ``D`` and ``E`` edges.
+    One sweep for all sources at once: ``reach_l[i]`` and ``reach_r[j]`` are
+    the sets of vertex ids within distance ``t`` of ``(L, i)`` and ``(R, j)``,
+    one bit per id, and a sweep widens each set by the union of its
+    neighbours' sets on the other side. The diameter is the first ``t`` at
+    which every set is full; a sweep that changes nothing before then means
+    the graph is disconnected. Cost: ``(D + 1) * 2E`` integer ORs for
+    diameter ``D`` and ``E`` edges.
     """
     if g.order == 0:
         raise ValueError("diameter of the empty graph is undefined")
     full = (1 << g.order) - 1
-    neighbors = adjacency(g)
-    reach = [1 << v for v in range(g.order)]
+    left, right = sides(g)
+    reach_l = [1 << i for i in range(g.n_left)]
+    reach_r = [1 << v for v in range(g.n_left, g.order)]
     t = 0
     while True:
-        if all(r == full for r in reach):
+        if all(r == full for r in reach_l) and all(r == full for r in reach_r):
             return t
-        wider = []
-        for r, adjacent in zip(reach, neighbors):
-            for u in adjacent:
-                r |= reach[u]
-            wider.append(r)
-        if wider == reach:
+        wider_l = [r | union(nbrs, reach_r) for r, nbrs in zip(reach_l, left)]
+        wider_r = [r | union(nbrs, reach_l) for r, nbrs in zip(reach_r, right)]
+        if wider_l == reach_l and wider_r == reach_r:
             return INF
-        reach = wider
+        reach_l, reach_r = wider_l, wider_r
         t += 1
 
 

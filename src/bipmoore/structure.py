@@ -36,22 +36,22 @@ graph; ``caseanalysis`` imports them to apply to hypothetical sizes.
 depend only on the other side's, so recolouring both at once, as the
 full-round search kept in ``tests/oracles.py`` does, repeats work.
 
-The decomposition's integer vertex ids are those of ``graphs.adjacency``:
-a vertex's position in ``g.vertices()``, left ``i`` and right ``n_left + j``.
-Ids and vertices are converted only through that list.
+The decomposition's integer vertex ids are those defined in ``graphs``'
+module docstring. Ids and vertices are converted only through
+``g.vertices()``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Container, Iterable, Sequence
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
 from .bounds import moore_bound
 from .circulant import FIXED_SHIFTS
-from .graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
+from .graphs import LEFT, RIGHT, BipartiteGraph, Sides, Vertex, bits, sides, union
 
 
 class BudgetError(RuntimeError):
@@ -162,13 +162,6 @@ def short_cycles(g: BipartiteGraph) -> ShortCycleSet:
     return ShortCycleSet(pairs=tuple(pairs))
 
 
-def _union(indices: Iterable[int], rows: Sequence[int]) -> int:
-    out = 0
-    for i in indices:
-        out |= rows[i]
-    return out
-
-
 def _components(nbr: list[int]) -> list[int]:
     """The components of the graph with neighbour bitmask ``nbr[x]`` for each
     id ``x``, as id bitmasks in order of their least id; an id with no
@@ -179,7 +172,7 @@ def _components(nbr: list[int]) -> list[int]:
         if row and not seen >> x & 1:
             comp = frontier = 1 << x
             while frontier:
-                frontier = _union(bits(frontier), nbr) & ~comp
+                frontier = union(bits(frontier), nbr) & ~comp
                 comp |= frontier
             seen |= comp
             comps.append(comp)
@@ -774,19 +767,6 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
 # ---------------------------------------------------------------------------
 
 
-Sides = tuple[list[list[int]], list[list[int]]]
-
-
-def _sides(g: BipartiteGraph) -> Sides:
-    """Each left vertex's right neighbours, then each right vertex's left ones."""
-    left = [list(bits(row)) for row in g.left_rows]
-    right: list[list[int]] = [[] for _ in range(g.n_right)]
-    for i, nbrs in enumerate(left):
-        for j in nbrs:
-            right[j].append(i)
-    return left, right
-
-
 def _refine(
     sides1: Sides, sides2: Sides, colors1: list[list[int]], colors2: list[list[int]], side: int
 ) -> tuple[list[list[int]], list[list[int]]] | None:
@@ -835,7 +815,7 @@ def _match(
         position = [{c: w for w, c in enumerate(own)} for own in colors2]
         left, right = ([at[c] for c in own] for at, own in zip(position, colors1))
         right_bits = [1 << w for w in right]
-        matched = all(_union(nbrs, right_bits) == rows2[w] for nbrs, w in zip(sides1[0], left))
+        matched = all(union(nbrs, right_bits) == rows2[w] for nbrs, w in zip(sides1[0], left))
         return (left, right) if matched else None
     _, side, target = min(split)
     own1, own2 = colors1[side], colors2[side]
@@ -865,13 +845,13 @@ def _pair_invariant(g: BipartiteGraph) -> tuple:
     return tuple(sorted((side_hist(g.left_rows), side_hist(g.right_rows))))
 
 
-def _two_step_invariant(g: BipartiteGraph, sides: Sides | None = None) -> tuple:
+def _two_step_invariant(g: BipartiteGraph, side_lists: Sides | None = None) -> tuple:
     """Sound isomorphism invariant: per-side sorted sizes of the two-step
-    neighbourhoods ``N(N(v))``, one OR per edge over ``sides`` (by default
-    ``g``'s), as an unordered side pair."""
-    left, right = sides or _sides(g)
+    neighbourhoods ``N(N(v))``, one OR per edge over ``side_lists`` (by
+    default ``sides(g)``), as an unordered side pair."""
+    left, right = side_lists or sides(g)
     sizes = (
-        tuple(sorted(_union(nbrs, across).bit_count() for nbrs in lists))
+        tuple(sorted(union(nbrs, across).bit_count() for nbrs in lists))
         for lists, across in ((left, g.right_rows), (right, g.left_rows))
     )
     return tuple(sorted(sizes))
@@ -889,7 +869,7 @@ def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
     1. order and edge count;
     2. ``_two_step_invariant``, a gate that rejects most non-isomorphic
        pairs with no search;
-    3. individualization-refinement over the ``_sides`` lists, built once
+    3. individualization-refinement over the ``sides`` lists, built once
        per call. Vertices start coloured by degree, and ``g2`` is tried with
        its sides kept, then swapped (its lists swapped). Just before the
        search leaves its first branch (a second candidate at any depth, or
@@ -905,11 +885,11 @@ def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
         raise BudgetError(f"isomorphism capped at {MAX_ISO_ORDER} vertices")
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return None
-    sides1, sides2 = _sides(g1), _sides(g2)
+    sides1, sides2 = sides(g1), sides(g2)
     if _two_step_invariant(g1, sides1) != _two_step_invariant(g2, sides2):
         return None
     cut = cache(lambda: _pair_invariant(g1) != _pair_invariant(g2))
-    start1, start2 = ([[len(nbrs) for nbrs in lists] for lists in sides] for sides in (sides1, sides2))
+    start1, start2 = ([[len(nbrs) for nbrs in lists] for lists in pair] for pair in (sides1, sides2))
     for k, (frame, rows2) in enumerate(((sides2, g2.left_rows), (sides2[::-1], g2.right_rows))):
         if k and cut():
             return None

@@ -8,7 +8,7 @@ forward checking, which keeps its own residue masks as plain integers;
 ``decomposition_oracle``, the structure layer's walk over 4-cycle objects,
 which reads common-neighbour counts from the graph's bitset rows; and
 ``full_round_isomorphism``, the isomorphism search before it refined one
-side at a time, over ``graphs.adjacency`` ids.
+side at a time, over vertex id lists it builds from ``left_neighbors``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import Counter, deque
 from functools import cache
 from itertools import combinations, permutations, product
 
-from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, adjacency, bits
+from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, Vertex, bits
 from bipmoore.structure import (
     Decomposition,
     FourCycle,
@@ -358,6 +358,17 @@ def isomorphic_oracle(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
     return False
 
 
+def _id_lists(g: BipartiteGraph) -> list[list[int]]:
+    """Neighbours by vertex id, left ``i`` and right ``n_left + j``, in
+    ascending order, read from ``left_neighbors``."""
+    lists: list[list[int]] = [[] for _ in range(g.order)]
+    for i in range(g.n_left):
+        for j in g.left_neighbors(i):
+            lists[i].append(g.n_left + j)
+            lists[g.n_left + j].append(i)
+    return lists
+
+
 def _full_round_refine(adj1, adj2, colors1, colors2):
     """Iterated neighbour-multiset refinement of every vertex at once; None
     when the palettes diverge, and a discrete palette returned at once."""
@@ -420,7 +431,7 @@ def full_round_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Verte
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return None
     cut = cache(lambda: pair_invariant_oracle(g1) != pair_invariant_oracle(g2))
-    adj1, adj2 = adjacency(g1), adjacency(g2)
+    adj1, adj2 = _id_lists(g1), _id_lists(g2)
     colors1 = [0] * g1.n_left + [1] * g1.n_right
     for k, (left2, right2) in enumerate(((0, 1), (1, 0))):
         if k and cut():

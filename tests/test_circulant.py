@@ -19,9 +19,9 @@ from bipmoore.circulant import (
     parse_spec,
     two_step_residues,
 )
-from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, bfs_distances, check_graph, diameter, girth, regularity_check
+from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, check_graph, diameter, girth, regularity_check
 from bipmoore.structure import short_cycles, verify_isomorphism
-from oracles import diameter_oracle, singer_set, two_step_residues_oracle
+from oracles import bfs_oracle, diameter_oracle, singer_set, two_step_residues_oracle
 
 
 def test_theta_shapes():
@@ -215,7 +215,7 @@ def test_negation_isomorphism_with_witness():
 def test_vertex_transitivity_surrogate():
     for spec in (PhiSpec(11, (4,)), PhiSpec(19, (5, 8))):
         g = build_phi_spec(spec)
-        eccs = {bfs_distances(g, v).eccentricity for v in g.vertices()}
+        eccs = {max(bfs_oracle(g, v).values()) for v in g.vertices()}
         assert len(eccs) == 1
         profiles = {
             tuple(sorted(g.degree(w) for w in g.neighbors(v))) for v in g.vertices()

@@ -1,4 +1,4 @@
-"""Graph substrate: BFS, diameter, girth, regularity, file round trips."""
+"""Graph substrate: construction, diameter, girth, regularity, file round trips."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from bipmoore.graphs import (
     INF,
     LEFT,
     MAX_SIDE,
+    RIGHT,
     BipartiteGraph,
-    bfs_distances,
+    bits,
     diameter,
     format_adjacency,
     girth,
@@ -21,6 +22,7 @@ from bipmoore.graphs import (
     parse_edge_list,
     read_adjacency,
     regularity_check,
+    sides,
     write_adjacency,
 )
 from bipmoore.witnesses import KNOWN_DEGREE11_SPECS
@@ -39,57 +41,29 @@ def cycle_graph(length: int) -> BipartiteGraph:
     )
 
 
-def test_bfs_complete_bipartite():
-    g = complete_bipartite(3, 3)
-    profile = bfs_distances(g, (LEFT, 0))
-    assert all(d == 1 for d in profile.right_distances)
-    assert profile.left_distances[0] == 0
-    assert all(profile.left_distances[i] == 2 for i in range(1, 3))
-    assert profile.eccentricity == 2
+def test_construction_transposes_and_lists_each_row():
+    """On seeded random graphs, sides of 0 and 1 vertices included,
+    ``right_rows`` is the edge-for-edge transpose of ``left_rows`` and
+    ``sides`` lists each row's set bits in ascending order."""
+    rng = random.Random(20261021)
+    for _ in range(300):
+        n_left, n_right = rng.randint(0, 9), rng.randint(0, 9)
+        g = random_bipartite(rng, n_left, n_right, rng.choice((0.2, 0.5, 0.9)))
+        assert (len(g.left_rows), len(g.right_rows)) == (n_left, n_right)
+        for j, row in enumerate(g.right_rows):
+            assert row == sum(1 << i for i in range(n_left) if g.has_edge(i, j))
+        for lists, rows in zip(sides(g), (g.left_rows, g.right_rows)):
+            assert lists == [list(bits(row)) for row in rows]
+            assert all(nbrs == sorted(nbrs) for nbrs in lists)
 
 
-def test_bfs_phi5_eccentricity():
-    profile = bfs_distances(build_phi(5), (LEFT, 0))
-    assert profile.eccentricity == 3
-    assert profile.reachable_at_exactly_2 == {1, 2, 3, 4}
-
-
-def test_bfs_degree11_witness_eccentricity():
-    g = build_phi_spec(parse_spec("phi 95: 4,7,16,27,38,52,62,81"))
-    assert bfs_distances(g, (LEFT, 0)).eccentricity == 3
-
-
-def test_bfs_invalid_vertex():
+def test_invalid_vertex_is_refused():
     g = complete_bipartite(2, 2)
-    with pytest.raises(ValueError):
-        bfs_distances(g, (LEFT, 5))
-    with pytest.raises(ValueError):
-        bfs_distances(g, ("Z", 0))
-
-
-def test_bfs_matches_oracle_on_random_graphs():
-    rng = random.Random(20240811)
-    for _ in range(25):
-        g = random_bipartite(rng, rng.randint(1, 9), rng.randint(1, 9), 0.4)
-        for v in g.vertices():
-            profile = bfs_distances(g, v)
-            expected = bfs_oracle(g, v)
-            for w in g.vertices():
-                assert profile.distance(w) == expected[w]
-
-
-def test_bfs_symmetry_and_parity():
-    rng = random.Random(7)
-    for _ in range(20):
-        g = random_bipartite(rng, rng.randint(2, 8), rng.randint(2, 8), 0.5)
-        profiles = {v: bfs_distances(g, v) for v in g.vertices()}
-        for u in g.vertices():
-            for v in g.vertices():
-                duv = profiles[u].distance(v)
-                assert duv == profiles[v].distance(u)
-                if duv != INF:
-                    same_side = u[0] == v[0]
-                    assert duv % 2 == (0 if same_side else 1)
+    for v in ((LEFT, 5), (RIGHT, 2), (LEFT, -1), ("Z", 0)):
+        with pytest.raises(ValueError):
+            g.neighbors(v)
+        with pytest.raises(ValueError):
+            g.degree(v)
 
 
 def test_diameter_examples():
@@ -100,11 +74,8 @@ def test_diameter_examples():
 
 
 def largest_eccentricity(g: BipartiteGraph) -> float:
-    """The largest BFS eccentricity, or ``INF`` when some source misses a vertex."""
-    profiles = [bfs_distances(g, v) for v in g.vertices()]
-    if any(INF in p.left_distances + p.right_distances for p in profiles):
-        return INF
-    return max(p.eccentricity for p in profiles)
+    """The largest BFS eccentricity, ``INF`` when some source misses a vertex."""
+    return max(max(bfs_oracle(g, v).values()) for v in g.vertices())
 
 
 def assert_diameter_agrees(g: BipartiteGraph) -> float:
@@ -132,6 +103,9 @@ def test_diameter_one_sided_graphs():
     assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([], 2)) == INF
     assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([[0]], 1)) == 1
     assert assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([[0], []], 1)) == INF
+    for n in range(1, 6):
+        assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([[]] * n, 0))
+        assert_diameter_agrees(BipartiteGraph.from_neighbor_lists([], n))
 
 
 def test_diameter_long_cycles():
