@@ -18,10 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import BipartiteGraph
+from .graphs import MAX_SIDE, BipartiteGraph
 
 #: The shifts every phi graph has; its offsets add one shift each.
 FIXED_SHIFTS = (-1, 0, 1)
+
+#: Largest degree a parsed spec or a command-line ``--d`` may ask for. With
+#: the modulus capped at ``MAX_SIDE``, a spec's graph then has at most
+#: ``MAX_SIDE * MAX_DEGREE`` edges, whatever the length of its text.
+MAX_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,8 @@ def format_spec(spec: PhiSpec) -> str:
 
 
 def parse_spec(text: str) -> PhiSpec:
+    """Read ``phi <m>: <a_1>,<a_2>,...``, refusing a modulus above
+    ``MAX_SIDE`` or a degree above ``MAX_DEGREE`` before any graph is built."""
     body = text.strip()
     if not body.startswith("phi "):
         raise ValueError(f"spec must start with 'phi ': {text!r}")
@@ -87,11 +94,16 @@ def parse_spec(text: str) -> PhiSpec:
         m = int(head.strip())
     except ValueError as exc:
         raise ValueError(f"bad modulus in {text!r}") from exc
+    if m > MAX_SIDE:
+        raise ValueError(f"modulus {m} above {MAX_SIDE}")
     tail = tail.strip()
     if not tail:
         return PhiSpec(m)
+    tokens = tail.split(",")
+    if len(FIXED_SHIFTS) + len(tokens) > MAX_DEGREE:
+        raise ValueError(f"degree {len(FIXED_SHIFTS) + len(tokens)} above {MAX_DEGREE}")
     try:
-        offsets = tuple(int(tok.strip()) for tok in tail.split(","))
+        offsets = tuple(int(tok.strip()) for tok in tokens)
     except ValueError as exc:
         raise ValueError(f"bad offset list in {text!r}") from exc
     return PhiSpec(m, offsets)

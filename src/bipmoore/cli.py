@@ -22,7 +22,7 @@ from . import witnesses
 from .bounds import defect as defect_record
 from .bounds import max_m_upper_bound, moore_bound
 from .caseanalysis import nonexistence_case_audit
-from .circulant import build_phi_spec, format_spec, parse_spec
+from .circulant import MAX_DEGREE, build_phi_spec, format_spec, parse_spec
 from .graphs import (
     BipartiteGraph,
     check_graph,
@@ -40,7 +40,6 @@ from .structure import (
 )
 
 SCHEMA_VERSION = 1
-MAX_DEGREE = 64
 MAX_DIAMETER = 16
 
 EXIT_OK = 0

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from bipmoore.circulant import (
+    MAX_DEGREE,
     PhiSpec,
     build_phi,
     build_phi_spec,
@@ -19,7 +20,7 @@ from bipmoore.circulant import (
     parse_spec,
     two_step_residues,
 )
-from bipmoore.graphs import LEFT, RIGHT, BipartiteGraph, check_graph, diameter, girth, regularity_check
+from bipmoore.graphs import LEFT, MAX_SIDE, RIGHT, BipartiteGraph, check_graph, diameter, girth, regularity_check
 from bipmoore.structure import short_cycles, verify_isomorphism
 from oracles import bfs_oracle, diameter_oracle, singer_set, two_step_residues_oracle
 
@@ -68,6 +69,23 @@ def test_phi_spec_construction():
         PhiSpec(12, (11,))
     with pytest.raises(ValueError):
         PhiSpec(4, ())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f"phi {MAX_SIDE + 1}:", f"modulus {MAX_SIDE + 1} above {MAX_SIDE}"),
+        ("phi 70: " + ",".join(map(str, range(2, 64))), f"degree {MAX_DEGREE + 1} above {MAX_DEGREE}"),
+    ],
+)
+def test_parse_spec_refuses_just_over_each_cap(text, message):
+    """A modulus above ``MAX_SIDE`` or a degree above ``MAX_DEGREE`` is
+    refused by the parser, and the largest allowed values are accepted."""
+    with pytest.raises(ValueError) as caught:
+        parse_spec(text)
+    assert str(caught.value) == message
+    assert parse_spec(f"phi {MAX_SIDE}:").m == MAX_SIDE
+    assert parse_spec("phi 70: " + ",".join(map(str, range(2, 63)))).degree == MAX_DEGREE
 
 
 def test_spec_offsets_sorted():

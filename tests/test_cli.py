@@ -390,6 +390,18 @@ def test_bad_spec_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--spec", "phi 16385:"], "error: modulus 16385 above 16384\n"),
+        (["build", "--spec", "phi 70: " + ",".join(map(str, range(2, 64)))], "error: degree 65 above 64\n"),
+    ],
+)
+def test_spec_over_a_cap_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def two_theta_graph() -> BipartiteGraph:
     """Two theta blocks with an illegal cross edge at the defect-4 order."""
     edges = [(b, m) for b in (0, 1) for m in (0, 1, 2)]
