@@ -10,16 +10,16 @@ A vertex's integer id is its position in ``vertices()``: left ``i`` is ``i``
 and right ``j`` is ``n_left + j``. Every id bitmask in the package, here and
 in ``structure``, uses these ids.
 
-This module owns the two primitives the graph and structure layers share:
+The graph and structure layers share two primitives defined here:
 ``sides`` lists each vertex's neighbours by index on the other side, and
 ``union`` ORs the rows picked by a list of indices. ``girth`` walks
 breadth-first layers from each source (``_layers``), each layer the
-``union`` of the last one's rows. ``diameter`` needs no source: it runs
-one all-sources sweep in which every vertex holds the set of ids within
-distance ``t`` as one integer, and each sweep widens the sets of one side
-to the ``union`` of its ``sides`` neighbours' sets on the other. A graph
-of diameter ``D`` with ``E`` edges costs ``(D + 1) * 2E`` integer ORs,
-about 8,400 for a 190-vertex 11-regular graph.
+``union`` of the last one's rows less the layer before it. ``diameter``
+needs no source: it runs one all-sources sweep in which every vertex holds
+the set of ids within distance ``t`` as one integer, and each sweep widens
+every set by the ``union`` of its ``sides`` neighbours' sets. A graph of
+diameter ``D`` with ``E`` edges costs ``(D + 1) * 2E`` integer ORs, about
+8,400 for a 190-vertex 11-regular graph.
 
 Graphs are immutable after construction and safe to share across workers.
 """

@@ -14,7 +14,6 @@ from bipmoore.graphs import (
     MAX_SIDE,
     RIGHT,
     BipartiteGraph,
-    bits,
     diameter,
     format_adjacency,
     girth,
@@ -52,9 +51,9 @@ def test_construction_transposes_and_lists_each_row():
         assert (len(g.left_rows), len(g.right_rows)) == (n_left, n_right)
         for j, row in enumerate(g.right_rows):
             assert row == sum(1 << i for i in range(n_left) if g.has_edge(i, j))
-        for lists, rows in zip(sides(g), (g.left_rows, g.right_rows)):
-            assert lists == [list(bits(row)) for row in rows]
-            assert all(nbrs == sorted(nbrs) for nbrs in lists)
+        left, right = sides(g)
+        assert left == [[j for j in range(n_right) if g.has_edge(i, j)] for i in range(n_left)]
+        assert right == [[i for i in range(n_left) if g.has_edge(i, j)] for j in range(n_right)]
 
 
 def test_invalid_vertex_is_refused():
