@@ -143,7 +143,7 @@ def build_theta(t: int) -> BipartiteGraph:
 def build_phi_spec(spec: PhiSpec) -> BipartiteGraph:
     """The graph described by ``spec``: 2m vertices, (3 + #offsets)-regular."""
     m = spec.m
-    lists = [sorted((i + s) % m for s in spec.shifts) for i in range(m)]
+    lists = [[(i + s) % m for s in spec.shifts] for i in range(m)]
     return BipartiteGraph.from_neighbor_lists(lists, m)
 
 

@@ -10,23 +10,25 @@ A vertex's integer id is its position in ``vertices()``: left ``i`` is ``i``
 and right ``j`` is ``n_left + j``. Every id bitmask in the package, here and
 in ``structure``, uses these ids.
 
-The graph and structure layers share two primitives defined here:
-``sides`` lists each vertex's neighbours by index on the other side, and
-``union`` ORs the rows picked by a list of indices. ``girth`` walks
-breadth-first layers from each source (``_layers``), each layer the
-``union`` of the last one's rows less the layer before it. ``diameter``
-needs no source: it runs one all-sources sweep in which every vertex holds
-the set of ids within distance ``t`` as one integer, and each sweep widens
-every set by the ``union`` of its ``sides`` neighbours' sets. A graph of
-diameter ``D`` with ``E`` edges costs ``(D + 1) * 2E`` integer ORs, about
-8,400 for a 190-vertex 11-regular graph.
+Each graph also carries its neighbour lists, ``sides``: each left vertex's
+right neighbours, then each right vertex's left ones, by index on the other
+side in ascending order. They are built once, by ``from_neighbor_lists``,
+with the rows; they take no part in equality or hashing. The graph and
+structure layers read them, and ``union`` ORs the rows picked by a list of
+indices. ``girth`` walks breadth-first layers from each source
+(``_layers``), each layer the ``union`` of the last one's rows less the
+layer before it. ``diameter`` needs no source: it runs one all-sources
+sweep in which every vertex holds the set of ids within distance ``t`` as
+one integer, and each sweep widens every set by its ``sides`` neighbours'
+sets. A graph of diameter ``D`` with ``E`` edges costs ``(D + 1) * 2E``
+integer ORs, about 8,400 for a 190-vertex 11-regular graph.
 
 Graphs are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +42,9 @@ RIGHT = "R"
 INF = float("inf")
 
 Vertex = tuple[str, int]
+
+#: Each left vertex's right neighbours, then each right vertex's left ones.
+Sides = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -63,13 +68,16 @@ class BipartiteGraph:
     """A simple bipartite graph: edges run only between the two sides.
 
     ``left_rows[i]`` has bit ``j`` set iff ``(L, i) ~ (R, j)``;
-    ``right_rows`` is the edge-for-edge transpose.
+    ``right_rows`` is the edge-for-edge transpose. ``sides`` lists the same
+    edges by index: ``sides[0][i]`` the set bits of ``left_rows[i]`` and
+    ``sides[1][j]`` those of ``right_rows[j]``, ascending.
     """
 
     n_left: int
     n_right: int
     left_rows: tuple[int, ...]
     right_rows: tuple[int, ...]
+    sides: Sides = field(compare=False, repr=False)
 
     @classmethod
     def from_neighbor_lists(
@@ -80,20 +88,28 @@ class BipartiteGraph:
             raise ValueError("n_right must be nonnegative")
         rows = []
         right = [0] * n_right
+        left_lists = []
+        right_lists: list[list[int]] = [[] for _ in range(n_right)]
         for i, neighbors in enumerate(neighbor_lists):
             mask = 0
-            count = 0
             bit = 1 << i
+            nbrs = []
             for j in neighbors:
                 if not 0 <= j < n_right:
                     raise ValueError(f"neighbor {j} of left vertex {i} out of range")
                 mask |= 1 << j
                 right[j] |= bit
-                count += 1
-            if mask.bit_count() != count:
+                right_lists[j].append(i)
+                nbrs.append(j)
+            if mask.bit_count() != len(nbrs):
                 raise ValueError(f"duplicate edge at left vertex {i}")
             rows.append(mask)
-        return cls(len(rows), n_right, tuple(rows), tuple(right))
+            nbrs.sort()
+            left_lists.append(tuple(nbrs))
+        return cls(
+            len(rows), n_right, tuple(rows), tuple(right),
+            (tuple(left_lists), tuple(map(tuple, right_lists))),
+        )
 
     @classmethod
     def from_edges(
@@ -116,7 +132,7 @@ class BipartiteGraph:
         return sum(row.bit_count() for row in self.left_rows)
 
     def left_neighbors(self, i: int) -> list[int]:
-        return list(bits(self.left_rows[i]))
+        return list(self.sides[0][i])
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.left_rows[i] >> j & 1)
@@ -129,8 +145,8 @@ class BipartiteGraph:
     def neighbors(self, v: Vertex) -> list[Vertex]:
         side, idx = self._check_vertex(v)
         if side == LEFT:
-            return [(RIGHT, j) for j in bits(self.left_rows[idx])]
-        return [(LEFT, i) for i in bits(self.right_rows[idx])]
+            return [(RIGHT, j) for j in self.sides[0][idx]]
+        return [(LEFT, i) for i in self.sides[1][idx]]
 
     def vertices(self) -> Iterator[Vertex]:
         for i in range(self.n_left):
@@ -145,7 +161,9 @@ class BipartiteGraph:
 
     def transpose(self) -> BipartiteGraph:
         """The same graph with the two sides swapped."""
-        return BipartiteGraph(self.n_right, self.n_left, self.right_rows, self.left_rows)
+        return BipartiteGraph(
+            self.n_right, self.n_left, self.right_rows, self.left_rows, self.sides[::-1]
+        )
 
     def _check_vertex(self, v: Vertex) -> Vertex:
         side, idx = v
@@ -154,20 +172,6 @@ class BipartiteGraph:
         if side == RIGHT and 0 <= idx < self.n_right:
             return v
         raise ValueError(f"invalid vertex {v!r} for a {self.n_left}x{self.n_right} graph")
-
-
-Sides = tuple[list[list[int]], list[list[int]]]
-
-
-def sides(g: BipartiteGraph) -> Sides:
-    """Each left vertex's right neighbours, then each right vertex's left
-    ones, by index on the other side in ascending order."""
-    left = [list(bits(row)) for row in g.left_rows]
-    right: list[list[int]] = [[] for _ in range(g.n_right)]
-    for i, nbrs in enumerate(left):
-        for j in nbrs:
-            right[j].append(i)
-    return left, right
 
 
 def _layers(g: BipartiteGraph, source: Vertex) -> Iterator[tuple[int, bool, int, int]]:
@@ -185,6 +189,16 @@ def _layers(g: BipartiteGraph, source: Vertex) -> Iterator[tuple[int, bool, int,
         level, on_left, layer, prev = level + 1, not on_left, reached & ~prev, layer
 
 
+def _widen(reach: list[int], lists: Sequence[Sequence[int]], across: list[int]) -> list[int]:
+    """Each set in ``reach`` ORed with its ``lists`` neighbours' sets in ``across``."""
+    wider = []
+    for r, nbrs in zip(reach, lists):
+        for k in nbrs:
+            r |= across[k]
+        wider.append(r)
+    return wider
+
+
 def diameter(g: BipartiteGraph) -> float:
     """Largest eccentricity; ``INF`` for disconnected graphs.
 
@@ -194,20 +208,21 @@ def diameter(g: BipartiteGraph) -> float:
     neighbours' sets on the other side. The diameter is the first ``t`` at
     which every set is full; a sweep that changes nothing before then means
     the graph is disconnected. Cost: ``(D + 1) * 2E`` integer ORs for
-    diameter ``D`` and ``E`` edges.
+    diameter ``D`` and ``E`` edges, written inline: on low degrees a call
+    per vertex costs more than the ORs it makes.
     """
     if g.order == 0:
         raise ValueError("diameter of the empty graph is undefined")
     full = (1 << g.order) - 1
-    left, right = sides(g)
+    left, right = g.sides
     reach_l = [1 << i for i in range(g.n_left)]
     reach_r = [1 << v for v in range(g.n_left, g.order)]
     t = 0
     while True:
         if all(r == full for r in reach_l) and all(r == full for r in reach_r):
             return t
-        wider_l = [r | union(nbrs, reach_r) for r, nbrs in zip(reach_l, left)]
-        wider_r = [r | union(nbrs, reach_l) for r, nbrs in zip(reach_r, right)]
+        wider_l = _widen(reach_l, left, reach_r)
+        wider_r = _widen(reach_r, right, reach_l)
         if wider_l == reach_l and wider_r == reach_r:
             return INF
         reach_l, reach_r = wider_l, wider_r
@@ -349,8 +364,7 @@ MAX_SIDE = 1 << 14
 
 def format_adjacency(g: BipartiteGraph) -> str:
     lines = [f"{g.n_left} {g.n_right}"]
-    for i in range(g.n_left):
-        neighbors = g.left_neighbors(i)
+    for i, neighbors in enumerate(g.sides[0]):
         if neighbors:
             lines.append(f"x{i}: " + " ".join(str(j) for j in neighbors))
         else:

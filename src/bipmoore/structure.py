@@ -51,7 +51,7 @@ from itertools import combinations
 
 from .bounds import moore_bound
 from .circulant import FIXED_SHIFTS
-from .graphs import LEFT, RIGHT, BipartiteGraph, Sides, Vertex, bits, sides, union
+from .graphs import LEFT, RIGHT, BipartiteGraph, Sides, Vertex, bits, union
 
 
 class BudgetError(RuntimeError):
@@ -603,7 +603,7 @@ def check_observations(g: BipartiteGraph, dec: Decomposition, d: int) -> Observa
             entries=entries,
         )
 
-    edges = [(i, j) for i in range(g.n_left) for j in bits(g.left_rows[i])]
+    edges = [(i, j) for i, nbrs in enumerate(g.sides[0]) for j in nbrs]
     theta_comp = _index(comp.vertices for comp in dec.gamma2)
     phi_comp = _index(comp.vertices for comp in dec.gamma1)
     branch_vertices = frozenset(v for comp in dec.gamma2 for v in comp.branch)
@@ -845,11 +845,11 @@ def _pair_invariant(g: BipartiteGraph) -> tuple:
     return tuple(sorted((side_hist(g.left_rows), side_hist(g.right_rows))))
 
 
-def _two_step_invariant(g: BipartiteGraph, side_lists: Sides | None = None) -> tuple:
+def _two_step_invariant(g: BipartiteGraph) -> tuple:
     """Sound isomorphism invariant: per-side sorted sizes of the two-step
-    neighbourhoods ``N(N(v))``, one OR per edge over ``side_lists`` (by
-    default ``sides(g)``), as an unordered side pair."""
-    left, right = side_lists or sides(g)
+    neighbourhoods ``N(N(v))``, one OR per edge over ``g.sides``, as an
+    unordered side pair."""
+    left, right = g.sides
     sizes = (
         tuple(sorted(union(nbrs, across).bit_count() for nbrs in lists))
         for lists, across in ((left, g.right_rows), (right, g.left_rows))
@@ -869,8 +869,8 @@ def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
     1. order and edge count;
     2. ``_two_step_invariant``, a gate that rejects most non-isomorphic
        pairs with no search;
-    3. individualization-refinement over the ``sides`` lists, built once
-       per call. Vertices start coloured by degree, and ``g2`` is tried with
+    3. individualization-refinement over the graphs' ``sides`` lists.
+       Vertices start coloured by degree, and ``g2`` is tried with
        its sides kept, then swapped (its lists swapped). Just before the
        search leaves its first branch (a second candidate at any depth, or
        the swapped start), ``_pair_invariant`` of both graphs is computed,
@@ -885,9 +885,9 @@ def find_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Vertex, Ver
         raise BudgetError(f"isomorphism capped at {MAX_ISO_ORDER} vertices")
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return None
-    sides1, sides2 = sides(g1), sides(g2)
-    if _two_step_invariant(g1, sides1) != _two_step_invariant(g2, sides2):
+    if _two_step_invariant(g1) != _two_step_invariant(g2):
         return None
+    sides1, sides2 = g1.sides, g2.sides
     cut = cache(lambda: _pair_invariant(g1) != _pair_invariant(g2))
     start1, start2 = ([[len(nbrs) for nbrs in lists] for lists in pair] for pair in (sides1, sides2))
     for k, (frame, rows2) in enumerate(((sides2, g2.left_rows), (sides2[::-1], g2.right_rows))):
@@ -940,20 +940,20 @@ def check_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> IsoCheck:
 def verify_isomorphism(
     g1: BipartiteGraph, g2: BipartiteGraph, mapping: dict[Vertex, Vertex]
 ) -> bool:
-    """Independent edge-by-edge validation of a claimed isomorphism: the
+    """Validation of a claimed isomorphism apart from the search: the
     mapping must take exactly the vertices of ``g1`` onto exactly those of
-    ``g2`` and every edge onto an edge."""
+    ``g2``, and every edge onto an edge. Each left vertex's image picks the
+    target row, and each edge is one side test and one bit test of it."""
     if set(mapping) != set(g1.vertices()) or set(mapping.values()) != set(g2.vertices()):
         return False
     if g1.order != g2.order or g1.edge_count != g2.edge_count:
         return False
-    for i in range(g1.n_left):
-        u = mapping[(LEFT, i)]
-        for j in bits(g1.left_rows[i]):
-            v = mapping[(RIGHT, j)]
-            if u[0] == v[0]:
-                return False
-            li, rj = (u[1], v[1]) if u[0] == LEFT else (v[1], u[1])
-            if not g2.has_edge(li, rj):
+    right_image = [mapping[(RIGHT, j)] for j in range(g1.n_right)]
+    for i, nbrs in enumerate(g1.sides[0]):
+        side, u = mapping[(LEFT, i)]
+        row = (g2.left_rows if side == LEFT else g2.right_rows)[u]
+        for j in nbrs:
+            other, w = right_image[j]
+            if other == side or not row >> w & 1:
                 return False
     return True

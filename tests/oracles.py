@@ -6,9 +6,11 @@ The exceptions are earlier algorithms kept as references for their
 replacements: ``bound_only_search_oracle``, the search engine's walk before
 forward checking, which keeps its own residue masks as plain integers;
 ``decomposition_oracle``, the structure layer's walk over 4-cycle objects,
-which reads common-neighbour counts from the graph's bitset rows; and
+which reads common-neighbour counts from the graph's bitset rows;
 ``full_round_isomorphism``, the isomorphism search before it refined one
-side at a time, over vertex id lists it builds from ``left_neighbors``.
+side at a time, over vertex id lists it builds from ``left_neighbors``; and
+``verify_isomorphism_oracle``, the edge-by-edge map check before it read the
+graph's stored neighbour lists, which reads the set bits of the rows.
 """
 
 from __future__ import annotations
@@ -442,6 +444,28 @@ def full_round_isomorphism(g1: BipartiteGraph, g2: BipartiteGraph) -> dict[Verte
             vertex2 = list(g2.vertices())
             return {v: vertex2[w] for v, w in zip(g1.vertices(), mapping)}
     return None
+
+
+def verify_isomorphism_oracle(
+    g1: BipartiteGraph, g2: BipartiteGraph, mapping: dict[Vertex, Vertex]
+) -> bool:
+    """Edge-by-edge validation of a claimed isomorphism: the mapping must take
+    exactly the vertices of ``g1`` onto exactly those of ``g2`` and every
+    edge, read from ``g1``'s rows, onto an edge that ``has_edge`` confirms."""
+    if set(mapping) != set(g1.vertices()) or set(mapping.values()) != set(g2.vertices()):
+        return False
+    if g1.order != g2.order or g1.edge_count != g2.edge_count:
+        return False
+    for i in range(g1.n_left):
+        u = mapping[(LEFT, i)]
+        for j in bits(g1.left_rows[i]):
+            v = mapping[(RIGHT, j)]
+            if u[0] == v[0]:
+                return False
+            li, rj = (u[1], v[1]) if u[0] == LEFT else (v[1], u[1])
+            if not g2.has_edge(li, rj):
+                return False
+    return True
 
 
 def components_oracle(groups) -> set[frozenset]:

@@ -21,7 +21,6 @@ from bipmoore.graphs import (
     parse_edge_list,
     read_adjacency,
     regularity_check,
-    sides,
     write_adjacency,
 )
 from bipmoore.witnesses import KNOWN_DEGREE11_SPECS
@@ -43,7 +42,7 @@ def cycle_graph(length: int) -> BipartiteGraph:
 def test_construction_transposes_and_lists_each_row():
     """On seeded random graphs, sides of 0 and 1 vertices included,
     ``right_rows`` is the edge-for-edge transpose of ``left_rows`` and
-    ``sides`` lists each row's set bits in ascending order."""
+    ``g.sides`` lists each row's set bits in ascending order."""
     rng = random.Random(20261021)
     for _ in range(300):
         n_left, n_right = rng.randint(0, 9), rng.randint(0, 9)
@@ -51,9 +50,9 @@ def test_construction_transposes_and_lists_each_row():
         assert (len(g.left_rows), len(g.right_rows)) == (n_left, n_right)
         for j, row in enumerate(g.right_rows):
             assert row == sum(1 << i for i in range(n_left) if g.has_edge(i, j))
-        left, right = sides(g)
-        assert left == [[j for j in range(n_right) if g.has_edge(i, j)] for i in range(n_left)]
-        assert right == [[i for i in range(n_left) if g.has_edge(i, j)] for j in range(n_right)]
+        left, right = g.sides
+        assert left == tuple(tuple(j for j in range(n_right) if g.has_edge(i, j)) for i in range(n_left))
+        assert right == tuple(tuple(i for i in range(n_left) if g.has_edge(i, j)) for j in range(n_right))
 
 
 def test_invalid_vertex_is_refused():
