@@ -426,6 +426,8 @@ GOLDEN_COMMANDS = {
     "analyze-json": "analyze --in phi11_4.adj --d 4 --json",
     "analyze-two-theta": "analyze --in two_theta.adj --d 4",
     "analyze-two-theta-json": "analyze --in two_theta.adj --d 4 --json",
+    # 1,520 cycles on a 190-vertex graph; its JSON would run to about 160 KB
+    "analyze-phi95": "analyze --in phi95_4_16_27_38_52_55_62_81.adj --d 11",
     "iso": "iso --a phi11_4.adj --b phi11_7.adj",
     "iso-records-json": (
         "iso --a phi95_4_7_16_27_38_52_62_81.adj --b phi95_4_16_30_43_51_62_71_89.adj --json"
@@ -457,7 +459,8 @@ def test_golden_transcript(tmp_path, monkeypatch, capsys, name):
     write_adjacency(two_theta_graph(), "two_theta.adj")
     two_squares = BipartiteGraph.from_neighbor_lists([[0, 1], [0, 1], [2, 3], [2, 3]], 4)
     write_adjacency(two_squares, "two_squares.adj")
-    for text in RECORDS[:2]:  # named and written as ``verify-known --export`` does
+    # named and written as ``verify-known --export`` does
+    for text in (*RECORDS[:2], "phi 95: 4,16,27,38,52,55,62,81"):
         spec = parse_spec(text)
         export = f"phi{spec.m}_" + "_".join(map(str, spec.offsets)) + ".adj"
         write_adjacency(build_phi_spec(spec), export)
