@@ -1,8 +1,9 @@
 """Property tests on generated inputs: each graph's stored neighbour lists
 against its rows, the all-sources diameter against breadth-first search,
 residue coverage against the diameter, the two rules of ``B - B`` masks the
-search's child filter rests on, the pair-keyed decomposition and repeat
-relation against the cycle walk they replaced, isomorphism maps against
+search's child filter rests on, the partner masks against common-neighbour
+counts, the pair-keyed decomposition and repeat relation against the cycle
+walk they replaced, isomorphism maps against
 edge-by-edge validation and brute force, and the map check against the
 edge-by-edge one it replaced.
 
@@ -32,6 +33,7 @@ from bipmoore.structure import (
     check_observations,
     classify_and_decompose,
     find_isomorphism,
+    partner_masks,
     repeat_structure,
     verify_isomorphism,
 )
@@ -160,6 +162,21 @@ def test_decomposition_matches_oracle(g):
     repeats = [pair for c in walk for pair in c.repeat_pairs()]
     closed = repeat_structure(g, dec.cycles).minimal_closed_sets
     assert closed == tuple(sorted(components_oracle(repeats), key=min))
+
+
+@FIXED
+@given(bipartite_graphs())
+def test_partner_masks_match_common_neighbour_counts(g):
+    """Each left vertex's partner mask holds exactly the other left vertices
+    with two or more common neighbours, counted over neighbour sets, on the
+    graph and on its transpose."""
+    for h in (g, g.transpose()):
+        nbrs = [set(h.left_neighbors(i)) for i in range(h.n_left)]
+        want = [
+            sum(1 << b for b, other in enumerate(nbrs) if b != a and len(mine & other) >= 2)
+            for a, mine in enumerate(nbrs)
+        ]
+        assert partner_masks(h) == want
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -393,6 +394,40 @@ def test_decomposition_matches_oracle():
     wanted = ("s2", "s1", "s0", "recognized", "unrecognized", "pass", "fail", "not-applicable")
     assert min(kinds[k] for k in wanted) > 0
     assert min(cycle_counts) == 760 and max(cycle_counts) == 1805
+
+
+@pytest.mark.slow
+def test_decomposition_matches_oracle_on_larger_random_graphs():
+    """Seeded random graphs of 20 to 40 vertices a side, dense enough for
+    pairs with three or more common neighbours: the decomposition equals the
+    cycle walk's, and the graphs reach every label."""
+    rng = random.Random(20261022)
+    labels: Counter[str] = Counter()
+    wide = 0
+    for _ in range(2000):
+        n_left, n_right = rng.randint(20, 40), rng.randint(20, 40)
+        g = random_bipartite(rng, n_left, n_right, rng.choice((0.06, 0.1, 0.15, 0.2)))
+        dec = classify_and_decompose(g)
+        assert dec == decomposition_oracle(g)
+        labels.update(dec.labels)
+        wide += sum(len(js) > 2 for _, _, js in dec.cycles.pairs)
+    assert min(labels[label] for label in ("s2", "s1", "s0")) > 0 and wide > 0
+
+
+def test_sparse_ring_decomposes_in_little_memory():
+    """The circulant ring on 4,096 vertices a side has 4,096 cycles, each
+    sharing an edge with the next. Finding and labelling them costs memory in
+    proportion to the edges, not to ``n_left * n_right``."""
+    g = build_phi(4096)
+    tracemalloc.start()
+    try:
+        dec = classify_and_decompose(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.labels == ("s1",) * 4096
+    assert [(comp.recognized, comp.m_prime) for comp in dec.gamma1] == [(True, 4096)]
+    assert peak < 32 * 2**20
 
 
 def moved_edge_rings() -> list[BipartiteGraph]:
