@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import MAX_SIDE, BipartiteGraph
+from .graphs import MAX_SIDE, BipartiteGraph, decimal
 
 #: The shifts every phi graph has; its offsets add one shift each.
 FIXED_SHIFTS = (-1, 0, 1)
@@ -91,7 +91,7 @@ def parse_spec(text: str) -> PhiSpec:
     if not sep:
         raise ValueError(f"spec needs a ':' after the modulus: {text!r}")
     try:
-        m = int(head.strip())
+        m = decimal(head.strip())
     except ValueError as exc:
         raise ValueError(f"bad modulus in {text!r}") from exc
     if m > MAX_SIDE:
@@ -103,7 +103,7 @@ def parse_spec(text: str) -> PhiSpec:
     if len(FIXED_SHIFTS) + len(tokens) > MAX_DEGREE:
         raise ValueError(f"degree {len(FIXED_SHIFTS) + len(tokens)} above {MAX_DEGREE}")
     try:
-        offsets = tuple(int(tok.strip()) for tok in tokens)
+        offsets = tuple(decimal(tok.strip()) for tok in tokens)
     except ValueError as exc:
         raise ValueError(f"bad offset list in {text!r}") from exc
     return PhiSpec(m, offsets)

@@ -26,6 +26,7 @@ from .circulant import MAX_DEGREE, build_phi_spec, format_spec, parse_spec
 from .graphs import (
     BipartiteGraph,
     check_graph,
+    decimal,
     parse_adjacency,
     parse_edge_list,
     regularity_check,
@@ -133,7 +134,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     mode = "find-first" if args.first else "find-all"
-    prefix = tuple(int(tok) for tok in args.prefix.split(",")) if args.prefix else ()
+    prefix = tuple(decimal(tok) for tok in args.prefix.split(",")) if args.prefix else ()
     task = SearchTask(d=args.d, m=args.m, mode=mode, prefix=prefix, node_budget=args.budget)
     report = search_offsets(task, workers=args.workers)
     failures = []

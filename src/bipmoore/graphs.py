@@ -362,6 +362,17 @@ def check_graph(g: BipartiteGraph) -> GraphCheck:
 MAX_SIDE = 1 << 14
 
 
+def decimal(token: str, signed: bool = True) -> int:
+    """``token`` as an integer, when it is plain ASCII decimal digits, after
+    one leading ``-`` if ``signed``; ValueError otherwise. ``int()`` alone
+    also reads a ``+``, ``_`` separators, surrounding whitespace and
+    non-ASCII digits, so every parser of outside text reads integers here."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a plain decimal integer: {token!r}")
+    return int(token)
+
+
 def format_adjacency(g: BipartiteGraph) -> str:
     lines = [f"{g.n_left} {g.n_right}"]
     for i, neighbors in enumerate(g.sides[0]):
@@ -382,7 +393,7 @@ def parse_adjacency(text: str) -> BipartiteGraph:
     if len(header) != 2:
         raise ValueError("header must be '<nLeft> <nRight>'")
     try:
-        n_left, n_right = int(header[0]), int(header[1])
+        n_left, n_right = decimal(header[0]), decimal(header[1])
     except ValueError as exc:
         raise ValueError("header must hold two integers") from exc
     if not (0 <= n_left <= MAX_SIDE and 0 <= n_right <= MAX_SIDE):
@@ -402,9 +413,10 @@ def parse_adjacency(text: str) -> BipartiteGraph:
             raise ValueError(f"line {i + 2}: malformed spacing")
         neighbors = []
         for token in rest[1:].split(" "):
-            if not token.isdigit():
-                raise ValueError(f"line {i + 2}: bad index {token!r}")
-            neighbors.append(int(token))
+            try:
+                neighbors.append(decimal(token, signed=False))
+            except ValueError:
+                raise ValueError(f"line {i + 2}: bad index {token!r}") from None
         if any(b <= a for a, b in zip(neighbors, neighbors[1:])):
             raise ValueError(f"line {i + 2}: indices must be strictly increasing")
         rows.append(neighbors)
@@ -431,7 +443,7 @@ def parse_edge_list(text: str) -> BipartiteGraph:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<i> <j>'")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = decimal(parts[0]), decimal(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad integers") from exc
         if i < 0 or j < 0:

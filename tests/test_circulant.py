@@ -215,6 +215,25 @@ def test_spec_text_round_trip():
             parse_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("phi 1_1: 4", "bad modulus in 'phi 1_1: 4'"),
+        ("phi +11: 4", "bad modulus in 'phi +11: 4'"),
+        ("phi 11: 1_0", "bad offset list in 'phi 11: 1_0'"),
+        ("phi 11: \u0664", "bad offset list in 'phi 11: \u0664'"),  # an Arabic-Indic 4
+        ("phi -5:", "modulus must be at least 5"),
+        ("phi 11: -4", "offset -4 outside [2, 9]"),
+    ],
+)
+def test_parse_spec_takes_only_plain_decimals(text, message):
+    """Modulus and offsets are plain ASCII digits, after at most a ``-``,
+    which reaches the range checks."""
+    with pytest.raises(ValueError) as caught:
+        parse_spec(text)
+    assert str(caught.value) == message
+
+
 def test_negation_isomorphism_with_witness():
     rng = random.Random(31337)
     for _ in range(8):

@@ -169,6 +169,20 @@ def test_long_scan_json_identical_across_workers(capsys):
     assert json.loads(outputs[0])["bestM"] == 79
 
 
+@pytest.mark.parametrize(
+    "prefix, message",
+    [
+        ("1_0", "not a plain decimal integer: '1_0'"),
+        ("4,+7", "not a plain decimal integer: '+7'"),
+        ("\u0661\u0660", "not a plain decimal integer: '\u0661\u0660'"),
+        ("-3", "offset -3 outside [2, 17]"),
+    ],
+)
+def test_search_prefix_takes_only_plain_decimals(capsys, prefix, message):
+    code, out, err = run(capsys, "search", "--d", "5", "--m", "19", "--prefix", prefix)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_search_budget_exit(capsys):
     code, _, _ = run(capsys, "search", "--d", "7", "--m", "41", "--budget", "10")
     assert code == 3

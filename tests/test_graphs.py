@@ -196,6 +196,26 @@ def test_adjacency_parse_rejects(text):
         parse_adjacency(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 4\nx0: \u0663\n", "line 2: bad index '\u0663'"),  # an Arabic-Indic 3
+        ("1 4\nx0: \u00b2\n", "line 2: bad index '\u00b2'"),  # a superscript 2
+        ("1 4\nx0: +1\n", "line 2: bad index '+1'"),
+        ("1 4\nx0: -0\n", "line 2: bad index '-0'"),
+        ("1_0 4\n", "header must hold two integers"),
+        ("1 +4\nx0: 0\n", "header must hold two integers"),
+        ("-1 4\n", f"vertex counts must lie in 0..{MAX_SIDE}"),
+    ],
+)
+def test_adjacency_parse_takes_only_plain_decimals(text, message):
+    """Indices are plain ASCII digits; a header count may also carry a
+    ``-``, which reaches the range check."""
+    with pytest.raises(ValueError) as caught:
+        parse_adjacency(text)
+    assert str(caught.value) == message
+
+
 def test_edge_list_import():
     text = "# header comment\n0 0\n0 1  # trailing comment\n1 1\n\n2 0\n"
     g = parse_edge_list(text)
@@ -208,6 +228,21 @@ def test_edge_list_import():
 def test_edge_list_rejects(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1_0 2\n", "line 1: bad integers"),
+        ("+3 0\n", "line 1: bad integers"),
+        ("0 \u0663\n", "line 1: bad integers"),
+        ("-3 0\n", "line 1: negative index"),
+    ],
+)
+def test_edge_list_takes_only_plain_decimals(text, message):
+    with pytest.raises(ValueError) as caught:
+        parse_edge_list(text)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
