@@ -13,21 +13,22 @@ exact isomorphism test backs the certification of distinct graphs.
 
 The layer works per same-side pair, not per cycle. Each left vertex's
 partner mask (``partner_masks``) holds the other left vertices with which it
-shares at least two neighbors, built by one saturating OR over the rows of
-its neighbors, so the pairs are found in ``O(E)`` integer operations
-without testing every left pair. ``short_cycles`` stores each left pair with
-its ``c >= 2`` common neighbors, closing ``C(c, 2)`` cycles, and counts
-nothing; ``ShortCycleSet.cycles`` and ``ShortCycleSet.per_vertex_count`` are
-derived from those records only when asked. The decomposition labels a
-pair's cycles ``s2`` at once when ``c > 2``; a pair ``a, b`` with two common
-neighbors ``j1, j2`` is labeled ``s2`` from its right pair's common count,
-else ``s1`` when a partner of ``a`` other than ``b``, or of ``b`` other than
-``a``, is a neighbor of ``j1`` or ``j2``: that partner closes another cycle
-through one of the four edges. The labeled unions and the repeat relation
-are split by one sweep over neighbour bitmasks (``_components``). Each
-component's vertex set is read off its id bitmask, and it is recognized
-from the label's neighbour bitmasks: a theta block by its degrees alone, a
-circulant ring by a walk along its own pairs.
+shares at least two neighbors. The masks take one saturating OR over the
+rows of each vertex's neighbors, ``O(E)`` integer operations in all, and the
+pairs are read from them without testing every left pair. ``short_cycles``
+stores each left pair with its ``c >= 2`` common neighbors, closing
+``C(c, 2)`` cycles, and counts nothing; ``ShortCycleSet.cycles`` and
+``ShortCycleSet.per_vertex_count`` are derived from those records only when
+asked. The decomposition labels a pair's cycles ``s2`` at once when
+``c > 2``. A pair ``a, b`` with two common neighbors ``j1, j2`` is labeled
+``s2`` when ``j1, j2`` have a third common neighbor, else ``s1`` when a
+partner of ``a`` other than ``b``, or of ``b`` other than ``a``, is a
+neighbor of ``j1`` or ``j2``: that partner closes another cycle through one
+of the four edges. The labeled unions and the repeat relation are split by
+one sweep over neighbour bitmasks (``_components``). Each component's
+vertex set is read off its id bitmask, and it is recognized from the
+label's neighbour bitmasks: a theta block by its degrees alone, a circulant
+ring by a walk along its own pairs.
 ``tests/oracles.py`` keeps the walk over cycle objects this replaced.
 
 The paper's rules for a defect-4 graph (the theta block's degrees, the
