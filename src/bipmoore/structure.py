@@ -464,9 +464,10 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
     # ``ring_pairs``, and link the pair's left ids to its common right ids in
     # the label's neighbour list.
     # A third common neighbor of either pair closes a cycle sharing a 2-path.
-    # Short of that, a cycle sharing an edge shares a 1-path: edge ``(a, j)``
-    # lies on another cycle exactly when a partner of ``a`` other than ``b``
-    # is a neighbour of ``j``, and ``b`` is one of each.
+    # Short of that, a cycle sharing an edge shares a 1-path. With ``c == 2``,
+    # edge ``(a, j)`` lies on another cycle exactly when
+    # ``partners[a] & right_rows[j]`` holds a vertex besides ``b``, which it
+    # always holds.
     nbrs: tuple[list[int], ...] = ([0] * g.order, [0] * g.order, [0] * g.order)
     ring_pairs: list[_Pair] = []
     labels: list[str] = []
@@ -536,8 +537,9 @@ def classify_and_decompose(g: BipartiteGraph) -> Decomposition:
     disjoint = not (m2 & m1 or m2 & m0 or m1 & m0)
     s2, s1, s0 = (tuple(ks) for ks in s_lists)
     return Decomposition(
-        cycles=ShortCycleSet(pairs), labels=tuple(labels), s2=s2, s1=s1, s0=s0, v2=v2, v1=v1, v0=v0,
-        gamma2=gamma2, gamma1=gamma1, gamma0=gamma0, residue=residue, disjoint=disjoint,
+        cycles=ShortCycleSet(pairs), labels=tuple(labels), s2=s2, s1=s1, s0=s0,
+        v2=v2, v1=v1, v0=v0, gamma2=gamma2, gamma1=gamma1, gamma0=gamma0,
+        residue=residue, disjoint=disjoint,
     )
 
 
